@@ -11,66 +11,55 @@ where *delay* is a deterministic, non-negative integer firing duration,
 transitions that share input places, and *resource* names an output
 measure that is "in use" while the transition is firing.
 
-Both delay and frequency may be state-dependent: instead of a constant
-they may be callables receiving a :class:`Context` (a read view of the
-current marking and the set of currently-firing transitions).  This
-mirrors the paper's frequency expressions such as::
+Delays and frequencies are static numbers.  The one state-dependent
+form the thesis's nets need is an inhibition: a frequency expression
+such as::
 
     (NetIntr = 0) & !T6 & !T7  ->  1/853.2, 0
 
-which in this library is written::
+which is the static frequency ``1/853.2`` while no token sits in
+``NetIntr`` and neither ``T6`` nor ``T7`` is firing, and zero
+otherwise.  In this library it is a declarative :class:`Guard`::
 
-    lambda ctx: 1 / 853.2 if ctx.tokens("NetIntr") == 0
-                and not ctx.firing("T6") and not ctx.firing("T7") else 0.0
+    net.transition("T4", delay=1, frequency=1 / 853.2,
+                   guard=Guard(empty=("NetIntr",), idle=("T6", "T7")),
+                   inputs=[...], outputs=[...])
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from repro.errors import ModelError
 
-#: A delay attribute: a constant number of ticks or a state-dependent rule.
-DelaySpec = Union[int, Callable[["Context"], int]]
 
-#: A frequency attribute: a constant weight or a state-dependent rule.
-FrequencySpec = Union[float, int, Callable[["Context"], float]]
+@dataclass(frozen=True)
+class Guard:
+    """A conjunction of "place is empty" and "transition is idle" tests.
 
-
-class Context:
-    """Read-only view of a net state handed to state-dependent attributes.
-
-    ``tokens(place)`` returns the current marking of a place and
-    ``firing(transition)`` reports whether a transition is currently in
-    flight (has started firing and not yet deposited its outputs).
+    A guarded transition competes in its conflict class only while
+    every place named in ``empty`` holds no token and no transition
+    named in ``idle`` is in flight; in any other state its frequency is
+    zero.  "In flight" counts the firings carried into the tick plus
+    the timed firings started earlier in the same tick's settle rounds
+    (immediate firings never are).  Names resolve against the net when
+    an engine compiles it, so a guard may name transitions declared
+    after the guarded one.
     """
 
-    __slots__ = ("_net", "_marking", "_inflight")
+    empty: tuple[str, ...] = ()
+    idle: tuple[str, ...] = ()
 
-    def __init__(self, net: "Net", marking: Sequence[int],
-                 inflight_counts: Sequence[int]):
-        self._net = net
-        self._marking = marking
-        self._inflight = inflight_counts
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "empty", tuple(self.empty))
+        object.__setattr__(self, "idle", tuple(self.idle))
 
-    def tokens(self, place: Union[str, "Place"]) -> int:
-        """Number of tokens currently in *place*."""
-        index = place.index if isinstance(place, Place) else \
-            self._net.place_index(place)
-        return self._marking[index]
-
-    def firing(self, transition: Union[str, "Transition"]) -> bool:
-        """True if *transition* is currently firing (in flight)."""
-        index = transition.index if isinstance(transition, Transition) else \
-            self._net.transition_index(transition)
-        return self._inflight[index] > 0
-
-    def firing_count(self, transition: Union[str, "Transition"]) -> int:
-        """Number of concurrent in-flight firings of *transition*."""
-        index = transition.index if isinstance(transition, Transition) else \
-            self._net.transition_index(transition)
-        return self._inflight[index]
+    def resolve(self, net: "Net") -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Sorted ``(place indices, transition indices)`` in *net*."""
+        return (tuple(sorted({net.place_index(p) for p in self.empty})),
+                tuple(sorted({net.transition_index(t)
+                              for t in self.idle})))
 
 
 @dataclass(frozen=True)
@@ -94,8 +83,8 @@ class Transition:
 
     name: str
     index: int
-    delay: DelaySpec
-    frequency: FrequencySpec
+    delay: int
+    frequency: float
     resource: str | None
     inputs: dict[int, int] = field(default_factory=dict)
     outputs: dict[int, int] = field(default_factory=dict)
@@ -107,6 +96,8 @@ class Transition:
     #: thesis's notation (e.g. "1/544.7" or "(NetIntr = 0) & !T6 & !T7
     #: -> 1/853.2, 0"); used when reproducing the transition tables.
     frequency_label: str = ""
+    #: inhibition making the frequency zero in some states, or None
+    guard: Guard | None = None
 
     @property
     def all_resources(self) -> tuple[str, ...]:
@@ -116,26 +107,8 @@ class Transition:
 
     @property
     def immediate(self) -> bool:
-        """True when the delay is the constant zero (fires in zero time)."""
+        """True when the delay is zero (fires in zero time)."""
         return self.delay == 0
-
-    def eval_delay(self, ctx: Context) -> int:
-        value = self.delay(ctx) if callable(self.delay) else self.delay
-        if not isinstance(value, int) or value < 0:
-            raise ModelError(
-                f"transition {self.name}: delay must be a non-negative "
-                f"integer, got {value!r}")
-        return value
-
-    def eval_frequency(self, ctx: Context) -> float:
-        value = self.frequency(ctx) if callable(self.frequency) \
-            else self.frequency
-        value = float(value)
-        if value < 0:
-            raise ModelError(
-                f"transition {self.name}: frequency must be >= 0, "
-                f"got {value!r}")
-        return value
 
     def enabled(self, marking: Sequence[int]) -> bool:
         """True when every input place holds enough tokens."""
@@ -205,34 +178,41 @@ class Net:
         return p
 
     def transition(self, name: str, *,
-                   delay: DelaySpec,
-                   frequency: FrequencySpec = 1.0,
+                   delay: int,
+                   frequency: float = 1.0,
                    resource: str | None = None,
                    extra_resources: Iterable[str] = (),
                    inputs: Iterable[Place] | Mapping[Place, int] = (),
                    outputs: Iterable[Place] | Mapping[Place, int] = (),
                    frequency_label: str = "",
+                   guard: Guard | None = None,
                    ) -> Transition:
         """Add a transition.
 
         ``inputs``/``outputs`` accept either an iterable of places
         (repeat a place for arc multiplicity > 1, matching the
         multigraph definition in the thesis) or an explicit
-        place -> multiplicity mapping.
+        place -> multiplicity mapping.  ``guard`` inhibits the
+        transition (zero frequency) in the states it rejects.
         """
         if name in self._transition_by_name:
             raise ModelError(f"duplicate transition name {name!r}")
-        if not frequency_label and not callable(frequency):
-            frequency_label = f"{float(frequency):g}"
+        if not isinstance(delay, int) or delay < 0:
+            raise ModelError(
+                f"transition {name!r}: delay must be a non-negative integer")
+        if not isinstance(frequency, (int, float)) or frequency < 0:
+            raise ModelError(
+                f"transition {name!r}: frequency must be a number >= 0, "
+                f"got {frequency!r}")
+        frequency = float(frequency)
+        if not frequency_label:
+            frequency_label = f"{frequency:g}"
         t = Transition(name=name, index=len(self.transitions),
                        delay=delay, frequency=frequency, resource=resource,
                        inputs=self._arc_dict(inputs, name),
                        outputs=self._arc_dict(outputs, name),
                        extra_resources=tuple(extra_resources),
-                       frequency_label=frequency_label)
-        if not callable(delay) and (not isinstance(delay, int) or delay < 0):
-            raise ModelError(
-                f"transition {name!r}: delay must be a non-negative integer")
+                       frequency_label=frequency_label, guard=guard)
         self.transitions.append(t)
         self._transition_by_name[name] = t
         self._conflict_classes = None
@@ -281,6 +261,11 @@ class Net:
 
     def get_transition(self, name: str) -> Transition:
         return self.transitions[self.transition_index(name)]
+
+    def resolved_guards(self) -> list[tuple | None]:
+        """Per transition, its guard resolved to indices (or None)."""
+        return [None if t.guard is None else t.guard.resolve(self)
+                for t in self.transitions]
 
     @property
     def initial_marking(self) -> tuple[int, ...]:
@@ -347,8 +332,8 @@ class Net:
         objects or names), aligned so position *j* of one replica
         corresponds to position *j* of every other.  The declaration is
         validated: swapping any replica with the first must be a net
-        automorphism (equal mapped arcs, equal static delay/frequency,
-        equal initial tokens), which suffices for full interchange
+        automorphism (equal mapped arcs and guards, equal delay and
+        frequency, equal initial tokens), which suffices for full interchange
         symmetry because transpositions generate the symmetric group.
         The symmetry-lumping reduction folds states that differ only by
         a replica permutation onto one representative, which is exact
@@ -381,13 +366,6 @@ class Net:
             raise ModelError(
                 "symmetry members must not overlap each other or a "
                 "previously declared group")
-        for t in claimed_t:
-            tr = self.transitions[t]
-            if callable(tr.delay) or callable(tr.frequency):
-                raise ModelError(
-                    f"transition {tr.name!r}: state-dependent attributes "
-                    "cannot be part of a symmetry group (lumping needs "
-                    "static, provably equal attributes)")
         group = SymmetryGroup(members=tuple(resolved))
         for k in range(1, len(resolved)):
             self._check_swap_automorphism(group, k)
@@ -411,22 +389,23 @@ class Net:
                     f"places {self.places[a].name!r} and "
                     f"{self.places[b].name!r} differ in initial tokens; "
                     "not a symmetry")
+        guards = self.resolved_guards()
         for t in self.transitions:
             image = self.transitions[t_perm[t.index]]
-            if (callable(t.delay) or callable(t.frequency)
-                    or callable(image.delay) or callable(image.frequency)):
-                # callables inside groups are rejected earlier; a shared
-                # transition mapping to itself keeps identical objects
-                same_attrs = (t.delay is image.delay
-                              and t.frequency is image.frequency)
-            else:
-                same_attrs = (t.delay == image.delay
-                              and float(t.frequency)
-                              == float(image.frequency))
-            if not same_attrs:
+            if (t.delay != image.delay
+                    or t.frequency != image.frequency):
                 raise ModelError(
                     f"transitions {t.name!r} and {image.name!r} differ "
                     "in delay/frequency; not a symmetry")
+            guard, image_guard = guards[t.index], guards[image.index]
+            if guard is not None:
+                guard = (tuple(sorted(p_perm[p] for p in guard[0])),
+                         tuple(sorted(t_perm[x] for x in guard[1])))
+            if guard != image_guard:
+                raise ModelError(
+                    f"swapping symmetry member 0 with member {k} does "
+                    f"not preserve the guard of transition {t.name!r}; "
+                    "not a net automorphism")
             mapped_in = {p_perm[p]: n for p, n in t.inputs.items()}
             mapped_out = {p_perm[p]: n for p, n in t.outputs.items()}
             if mapped_in != image.inputs or mapped_out != image.outputs:

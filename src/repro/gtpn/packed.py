@@ -1,8 +1,9 @@
 """Array-native GTPN engine: packed states, batched expansion, lumping.
 
-This module is the scaling path of the exact analyzer.  The object
-engine (:mod:`repro.gtpn.state`) walks one ``State`` at a time through
-Python dicts; here the same semantics run over numpy arrays:
+This module is the exact analyzer's engine.  The tick semantics of
+:mod:`repro.gtpn.state` (whose :class:`~repro.gtpn.state.TickEngine`
+walks one ``State`` at a time through Python dicts) run here over numpy
+arrays:
 
 * **Packed states** — a state is one ``int32`` row: the marking in the
   first ``n_places`` columns, then one column per ``(transition,
@@ -16,7 +17,12 @@ Python dicts; here the same semantics run over numpy arrays:
   mixed-radix expansion of the per-class choice cross product
   (class 0 is the slowest-varying digit, exactly the object engine's
   ``_cartesian`` order), and sentinel-row bookkeeping so inactive
-  classes cost a no-op row instead of a Python branch.
+  classes cost a no-op row instead of a Python branch.  Guards
+  (:class:`~repro.gtpn.net.Guard`) compile into the same enabledness
+  test: each guard reads an extra *settle column* holding a negated
+  place or in-flight count, so "empty" and "idle" are ``column >= 0``
+  requirements, and a guarded member that is inhibited is simply a
+  member that is not enabled in that state.
 * **Direct CSR assembly** — branch probabilities are recorded as
   *programs* of normalized-frequency factors (the packed analogue of
   the sweep skeleton) and evaluated once, at the end, straight into the
@@ -28,7 +34,8 @@ factor normalization, per-round products, branch dedup sums, row and
 expected-starts accumulation — replays the object engine's operation
 order (Python left folds, first-seen branch order, additive/
 multiplicative identity padding), so an unreduced packed build is
-**bit-identical** to ``build_reachability_graph``'s object walk, and a
+**bit-identical** to the object walk (``reachability._build_object_graph``,
+kept as the test oracle), and a
 :func:`packed_retime` re-evaluation is bit-identical to a fresh
 :func:`packed_build` by construction (same arrays through the same
 :func:`_evaluate`).
@@ -62,8 +69,8 @@ from repro.errors import AnalysisError, StateSpaceLimitError
 from repro.gtpn.net import Net
 from repro.gtpn.state import MAX_IMMEDIATE_ROUNDS, State
 
-#: Hard caps keeping the packed encodings honest; a net exceeding one
-#: falls back to the object engine (``compile_packed`` returns None).
+#: Hard caps keeping the packed encodings honest; ``compile_packed``
+#: raises :class:`AnalysisError` for a net exceeding one.
 MAX_PACKED_WIDTH = 4096         # marking + slot columns per state row
 MAX_CLASS_MEMBERS = 40          # positive-frequency members per class
                                 # (the factor-key mask is 40 bits)
@@ -79,7 +86,6 @@ class SkeletonMismatch(Exception):
 
     Internal control flow only: callers catch it and fall back to a
     full build (which also refreshes the cached skeleton).  Raised by
-    both the object-path :func:`repro.gtpn.sweep.retime` and
     :func:`packed_retime`.
     """
 
@@ -153,10 +159,11 @@ class PackedNet:
         self.net = net
         n_p = self.n_places = len(net.places)
         n_t = self.n_transitions = len(net.transitions)
-        self.delays = np.array([int(t.delay) for t in net.transitions],
+        self.delays = np.array([t.delay for t in net.transitions],
                                dtype=np.int64)
-        self.freqs = np.array([float(t.frequency)
-                               for t in net.transitions], dtype=np.float64)
+        self.freqs = np.array([t.frequency for t in net.transitions],
+                              dtype=np.float64)
+        self.guards = tuple(net.resolved_guards())
 
         # slots: transition-major, remaining ascending
         slot_t, slot_r = [], []
@@ -183,8 +190,34 @@ class PackedNet:
             if self.delays[t.index] == 0:
                 for p, n in t.outputs.items():
                     self.out_imm[t.index, p] = n
-        #: one-gather settle delta: immediate outputs minus inputs
-        self.settle_delta = self.out_imm - self.in_mat
+        # settle columns: the marking, then one negated count per
+        # place a guard names and per timed transition one names
+        # (immediate firings are never in flight, so idling on one
+        # always holds); ``guard_read`` gathers them from a full row
+        g_places = sorted({p for g in self.guards if g for p in g[0]})
+        g_trans = sorted({t for g in self.guards if g for t in g[1]
+                          if self.delays[t] >= 1})
+        n_s = self.n_settle = n_p + len(g_places) + len(g_trans)
+        self.guard_read = np.zeros((width, n_s - n_p), dtype=np.int32)
+        settle_col: dict[tuple, int] = {}
+        for k, p in enumerate(g_places):
+            self.guard_read[p, k] = 1
+            settle_col["p", p] = n_p + k
+        for k, t in enumerate(g_trans, start=len(g_places)):
+            base = n_p + slot_base[t]
+            self.guard_read[base:base + self.delays[t], k] = 1
+            settle_col["t", t] = n_p + k
+
+        #: one-gather settle delta: immediate outputs minus inputs,
+        #: mirrored negated into the guard columns; a timed start of a
+        #: guard-named transition adds one to its in-flight count
+        self.settle_delta = np.zeros((n_t + 1, n_s), dtype=np.int32)
+        self.settle_delta[:, :n_p] = self.out_imm - self.in_mat
+        for p in g_places:
+            self.settle_delta[:, settle_col["p", p]] = \
+                -self.settle_delta[:, p]
+        for t in g_trans:
+            self.settle_delta[t, settle_col["t", t]] = -1
 
         # advance phase: slots at remaining == 1 complete and deposit
         complete_cols, complete_t = [], []
@@ -246,21 +279,25 @@ class PackedNet:
         self.class_of_member = np.array(class_of_member, dtype=np.int64)
         self.cls_ids64 = np.array(self.cls_index, dtype=np.int64)
         self.n_cls = len(self.classes)
-        self.in_req = self.in_mat[self.members_flat] \
-            if len(members_flat) else np.zeros((0, n_p), dtype=np.int32)
-        # sparse form of the enabledness test: one (place, requirement)
-        # triple per nonzero of in_req, a dummy always-true triple for
-        # members with no inputs so every reduceat segment is non-empty
+        # sparse form of the enabledness test: one (settle column,
+        # requirement) pair per input arc and per guard test, a dummy
+        # always-true pair for members with neither so every reduceat
+        # segment is non-empty
         trip_place: list[int] = []
         trip_req: list[int] = []
         trip_offsets: list[int] = []
-        for m in range(len(members_flat)):
+        for t in members_flat:
             trip_offsets.append(len(trip_place))
-            places = np.nonzero(self.in_req[m])[0]
-            if len(places):
-                trip_place.extend(int(p) for p in places)
-                trip_req.extend(int(r) for r in self.in_req[m, places])
-            else:
+            for p in np.nonzero(self.in_mat[t])[0]:
+                trip_place.append(int(p))
+                trip_req.append(int(self.in_mat[t, p]))
+            if self.guards[t] is not None:
+                tests = [settle_col["p", p] for p in self.guards[t][0]] \
+                    + [settle_col["t", x] for x in self.guards[t][1]
+                       if ("t", x) in settle_col]
+                trip_place.extend(tests)
+                trip_req.extend([0] * len(tests))
+            if trip_offsets[-1] == len(trip_place):
                 trip_place.append(0)
                 trip_req.append(0)
         self.trip_place = np.array(trip_place, dtype=np.int64)
@@ -292,25 +329,24 @@ class PackedNet:
                                             dtype=np.int64))
 
 
-def compile_packed(net: Net, reduction: str = "none",
-                   ) -> PackedNet | None:
-    """Compile *net* for the packed engine, or ``None`` to fall back.
+def compile_packed(net: Net, reduction: str = "none") -> PackedNet:
+    """Compile *net* for the packed engine.
 
-    A net compiles when every delay and frequency is static (the packed
-    factor encoding has no context snapshots), no static frequency is
-    negative (the object engine owns that error path), and the packed
-    row / factor-mask caps hold.
+    Raises :class:`AnalysisError` when the net exceeds a cap of the
+    packed encodings: the state-row width or the factor-key mask.
     """
-    for t in net.transitions:
-        if callable(t.delay) or callable(t.frequency):
-            return None
-        if float(t.frequency) < 0:
-            return None
     pnet = PackedNet(net)
     if pnet.layout.width > MAX_PACKED_WIDTH:
-        return None
-    if any(len(members) > MAX_CLASS_MEMBERS for members in pnet.classes):
-        return None
+        raise AnalysisError(
+            f"net {net.name!r}: packed state rows need "
+            f"{pnet.layout.width} columns, above MAX_PACKED_WIDTH = "
+            f"{MAX_PACKED_WIDTH}")
+    widest = max((len(members) for members in pnet.classes), default=0)
+    if widest > MAX_CLASS_MEMBERS:
+        raise AnalysisError(
+            f"net {net.name!r}: a conflict class has {widest} "
+            "positive-frequency members, above MAX_CLASS_MEMBERS = "
+            f"{MAX_CLASS_MEMBERS}")
     if "lump" in reduction and net.symmetries:
         pnet.build_sym_blocks()
     return pnet
@@ -568,6 +604,7 @@ class PackedSkeleton:
     n_transitions: int
     static_delays: tuple
     freq_positive: tuple        # per transition: frequency > 0
+    guards: tuple               # per transition: resolved guard or None
     layout: PackedLayout
     table: np.ndarray           # (n_full, width) canonical state rows
     indptr: np.ndarray
@@ -691,19 +728,21 @@ class _Bookkeeper:
 def _settle_markings(pnet: PackedNet, markings: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                 np.ndarray]:
-    """Run settle rounds for a batch of markings, vectorized.
+    """Run settle rounds for a batch of settle rows, vectorized.
 
-    The settle phase never reads or writes the in-flight slots (a
-    delayed firing started mid-settle deposits nothing until later
-    ticks), so it is a function of the marking alone — which is what
-    lets :class:`_SettleMemo` run it once per distinct marking.
+    A settle row is the marking plus the guard columns (see
+    :class:`PackedNet`).  The settle phase reads the in-flight slots
+    only through those columns (a delayed firing started mid-settle
+    deposits nothing until later ticks), so it is a function of the
+    settle row alone — which is what lets :class:`_SettleMemo` run it
+    once per distinct row.
 
     Returns the quiescent ``(markings, starts, src, prog_flat)`` with
     items restored to source-major order (each source's items
     round-major within it), matching the object engine's per-state
     ``done`` enumeration.
     """
-    n_p, n_t = pnet.n_places, pnet.n_transitions
+    n_t = pnet.n_transitions
     n_cls = pnet.n_cls
     work = np.ascontiguousarray(markings, dtype=np.int32).copy()
     src = np.arange(len(work), dtype=np.int64)
@@ -802,7 +841,7 @@ def _settle_markings(pnet: PackedNet, markings: np.ndarray,
                constant_values=-1) for p in done_prog]) \
         if done_prog else np.zeros((0, 0), dtype=np.int64)
     d_work = np.concatenate(done_work) if done_work \
-        else np.zeros((0, n_p), dtype=np.int32)
+        else np.zeros((0, pnet.n_settle), dtype=np.int32)
     d_starts = np.concatenate(done_starts) if done_starts \
         else np.zeros((0, n_t), dtype=np.int32)
     d_src = np.concatenate(done_src) if done_src \
@@ -814,20 +853,21 @@ def _settle_markings(pnet: PackedNet, markings: np.ndarray,
 
 
 class _SettleMemo:
-    """Settle-once cache: post-advance marking -> quiescent outcomes.
+    """Settle-once cache: post-advance settle row -> quiescent outcomes.
 
     The reachable set distinguishes states by marking *and* in-flight
-    slots, but the settle outcome is a function of the marking alone —
-    typically orders of magnitude fewer distinct values.  Each new
-    marking is settled once (batched with the wave's other new
-    markings) and its done items appended to flat result arrays;
-    ``lookup`` returns per-marking ``[lo, hi)`` windows into them.
+    slots, but the settle outcome is a function of the settle row alone
+    — the marking plus the in-flight counts that guards read, typically
+    orders of magnitude fewer distinct values.  Each new settle row is
+    settled once (batched with the wave's other new rows) and its done
+    items appended to flat result arrays; ``lookup`` returns per-row
+    ``[lo, hi)`` windows into them.
     """
 
     def __init__(self, pnet: PackedNet, books: "_Bookkeeper"):
         self._pnet = pnet
         self._books = books
-        self._mark_ids = _Interner(pnet.n_places)
+        self._mark_ids = _Interner(pnet.n_settle)
         self._starts_ids = _Interner(pnet.n_transitions)
         self._prog_batches: list[np.ndarray] = []
         self._n_items = 0
@@ -858,7 +898,8 @@ class _SettleMemo:
             ends = base + np.cumsum(counts)
             self._lo = np.concatenate([self._lo, ends - counts])
             self._hi = np.concatenate([self._hi, ends])
-            self.marks = np.concatenate([self.marks, d_mark])
+            self.marks = np.concatenate([self.marks,
+                                         d_mark[:, :self._pnet.n_places]])
             self.starts = np.concatenate([self.starts, d_starts])
             self.sids = np.concatenate([self.sids, sids])
             self._n_items = int(ends[-1]) if len(ends) else base
@@ -934,10 +975,6 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
     """
     if pnet is None:
         pnet = compile_packed(net, reduction)
-        if pnet is None:
-            raise AnalysisError(
-                f"net {net.name!r} does not compile for the packed "
-                "engine (state-dependent attributes?)")
     net.validate()
     n_p, n_t = pnet.n_places, pnet.n_transitions
     width = pnet.layout.width
@@ -975,7 +1012,10 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
         Returns ``(dst, rep, gidx)`` in row-major, round-major item
         order, *rep* indexing into *adv*.
         """
-        lo, hi = memo.lookup(adv[:, :n_p])
+        settle_rows = adv[:, :n_p] if pnet.n_settle == n_p else \
+            np.concatenate([adv[:, :n_p], -(adv @ pnet.guard_read)],
+                           axis=1)
+        lo, hi = memo.lookup(settle_rows)
         k = hi - lo
         total = int(k.sum())
         rep = np.repeat(np.arange(len(adv)), k)
@@ -1167,6 +1207,7 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
         n_places=pnet.n_places, n_transitions=n_t,
         static_delays=tuple(int(d) for d in pnet.delays),
         freq_positive=tuple(bool(f > 0) for f in pnet.freqs),
+        guards=pnet.guards,
         layout=pnet.layout, table=table, indptr=indptr,
         indices=indices, ev=ev, inflight_matrix=inflight_matrix,
         closed_classes=None, kept=None, reduction=reduction,
@@ -1238,15 +1279,11 @@ def packed_retime(skeleton: PackedSkeleton, net: Net, *,
     if skeleton.full_state_count > max_states:
         raise SkeletonMismatch("skeleton exceeds max_states")
     net.validate()
-    for t in net.transitions:
-        if callable(t.delay) or callable(t.frequency):
-            raise SkeletonMismatch("attributes became state-dependent")
-    delays = tuple(int(t.delay) for t in net.transitions)
-    if delays != skeleton.static_delays:
+    if tuple(t.delay for t in net.transitions) != skeleton.static_delays:
         raise SkeletonMismatch("static delays differ")
-    freqs = np.array([float(t.frequency) for t in net.transitions])
-    if (freqs < 0).any():
-        raise SkeletonMismatch("negative frequency")
+    if tuple(net.resolved_guards()) != skeleton.guards:
+        raise SkeletonMismatch("guards differ")
+    freqs = np.array([t.frequency for t in net.transitions])
     if tuple(bool(f > 0) for f in freqs) != skeleton.freq_positive:
         raise SkeletonMismatch("frequency support changed")
     return _materialize(skeleton, net, freqs)

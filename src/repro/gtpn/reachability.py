@@ -10,16 +10,15 @@ builds the reachable states for the net, solves the embedded Markov
 process, and gives exact estimates for resource usage" (section 6.5);
 this module implements the first of those steps.
 
-Two engines share this front door.  Nets whose delays and frequencies
-are all static compile for the array-native engine
+Every net is built by the array-native engine
 (:mod:`repro.gtpn.packed`): packed int rows, batched frontier
-expansion, direct CSR assembly — bit-identical probabilities to the
-object walk, at array speed.  Nets with state-dependent (callable)
-attributes run the original object walk below.  Either way the result
-is one :class:`ReachabilityGraph`, which keeps both faces: the legacy
+expansion, direct CSR assembly.  The original one-state-at-a-time
+object walk (:func:`_build_object_graph`) stays only as the reference
+the tests hold the packed engine to, bit for bit.  Either way the
+result is one :class:`ReachabilityGraph`, which keeps both faces: the
 ``states`` / ``probabilities`` / ``initial`` views materialize lazily
-from the packed arrays (and vice versa), so existing callers and the
-sparse solver both read their native representation.
+from the packed arrays (and vice versa), so the oracle comparison and
+the sparse solver both read their native representation.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ class ReductionInfo:
 class ReachabilityGraph:
     """The embedded chain of a GTPN, in object and/or packed form.
 
-    The legacy attributes keep their documented shapes:
+    The object views keep their documented shapes:
 
     * ``states``: reachable post-decision states, index-aligned with
       the rows/columns of ``probabilities``.
@@ -77,8 +76,8 @@ class ReachabilityGraph:
     A graph built by the packed engine natively holds ``matrix`` (CSR),
     ``init_vec``, ``starts_matrix``, ``inflight_matrix`` and the
     interned ``packed_table``; the attributes above are materialized on
-    first access.  An object-walk graph holds the dict form and
-    materializes the arrays on demand.  ``reduction`` carries a
+    first access.  An object-walk (oracle) graph holds the dict form
+    and materializes the arrays on demand.  ``reduction`` carries a
     :class:`ReductionInfo` when a reduction was requested.
     """
 
@@ -107,16 +106,12 @@ class ReachabilityGraph:
                 "packed table")
 
     @property
-    def is_packed(self) -> bool:
-        return self.packed_table is not None
-
-    @property
     def state_count(self) -> int:
         if self._states is not None:
             return len(self._states)
         return len(self.packed_table)
 
-    # -- legacy object views, materialized lazily from the arrays ----
+    # -- object views, materialized lazily from the arrays ----------
 
     @property
     def states(self) -> list[State]:
@@ -202,11 +197,8 @@ def build_reachability_graph(net: Net,
                              ) -> ReachabilityGraph:
     """Explore every reachable state of *net* by breadth-first search.
 
-    Routes static nets through the packed array engine (bit-identical
-    to the object walk with ``reduction="none"``); nets with callable
-    attributes use the object walk.  ``reduction=None`` resolves the
-    configured mode (:func:`repro.config.reduction`); reductions other
-    than ``"none"`` require the packed engine.
+    Runs the packed array engine.  ``reduction=None`` resolves the
+    configured mode (:func:`repro.config.reduction`).
     """
     from repro import config
     from repro.gtpn import packed
@@ -215,21 +207,13 @@ def build_reachability_graph(net: Net,
         reduction = config.reduction()
     else:
         reduction = config.normalize_reduction(reduction)
-    pnet = packed.compile_packed(net, reduction)
-    if pnet is not None:
-        graph, _skeleton = packed.packed_build(
-            net, pnet, max_states=max_states, reduction=reduction)
-        return graph
-    if reduction != "none":
-        raise AnalysisError(
-            f"net {net.name!r}: reduction {reduction!r} requires the "
-            "packed engine, which needs static delays and frequencies "
-            "(state-dependent attributes force the object walk)")
-    return _build_object_graph(net, max_states)
+    graph, _skeleton = packed.packed_build(
+        net, max_states=max_states, reduction=reduction)
+    return graph
 
 
 def _build_object_graph(net: Net, max_states: int) -> ReachabilityGraph:
-    """The original one-state-at-a-time object walk."""
+    """The original one-state-at-a-time object walk (the test oracle)."""
     engine = TickEngine(net)
     resolver = ExhaustiveResolver()
     n_transitions = len(net.transitions)

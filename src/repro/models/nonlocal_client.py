@@ -17,7 +17,7 @@ start the next packet until the previous interrupt is fielded.
 from __future__ import annotations
 
 from repro.errors import ModelError
-from repro.gtpn import Context, Net, activity_pair
+from repro.gtpn import Guard, Net, activity_pair
 from repro.models.params import (NONLOCAL_CLIENT_PARAMS, Architecture,
                                  NonlocalClientParams)
 
@@ -60,20 +60,17 @@ def build_nonlocal_client_net(architecture: Architecture,
     interrupt_processor = host if params.process_send is None else \
         net.place("MP", tokens=1)
 
-    def interrupt_free(ctx: Context) -> bool:
-        """No interrupt pending or in service (thesis's
-        ``(NetIntr = 0) & !Tcleanup & !Tcleanup'`` expressions)."""
-        return (ctx.tokens("NetIntr") == 0
-                and ctx.tokens("IntrSvc") == 0
-                and not ctx.firing("cleanup")
-                and not ctx.firing("cleanup.loop"))
+    # no interrupt pending or in service (the thesis's
+    # ``(NetIntr = 0) & !Tcleanup & !Tcleanup'`` expressions)
+    interrupt_free = Guard(empty=("NetIntr", "IntrSvc"),
+                           idle=("cleanup", "cleanup.loop"))
 
     if params.process_send is None:
         # Architecture I (Table 6.7): syscall send executes on the
         # host and is inhibited during interrupt processing.
         activity_pair(net, "send", params.send_step,
                       inputs=[clients], outputs=[dma_out_req],
-                      holds=[host], gate=interrupt_free,
+                      holds=[host], guard=interrupt_free,
                       resource="lambda")
     else:
         # Architectures II-IV (Table 6.12 etc.): the host syscall is
@@ -85,7 +82,7 @@ def build_nonlocal_client_net(architecture: Architecture,
                       holds=[host], resource="lambda")
         activity_pair(net, "process_send", params.process_send,
                       inputs=[send_req], outputs=[dma_out_req],
-                      holds=[interrupt_processor], gate=interrupt_free)
+                      holds=[interrupt_processor], guard=interrupt_free)
 
     # T6/T7 or T8/T9 — DMA of the request packet onto the wire
     activity_pair(net, "dma_out", params.dma_out,
@@ -102,7 +99,7 @@ def build_nonlocal_client_net(architecture: Architecture,
     # been fielded
     activity_pair(net, "dma_in", params.dma_in,
                   inputs=[reply_arrived], outputs=[net_intr],
-                  holds=[io_in], gate=interrupt_free)
+                  holds=[io_in], guard=interrupt_free)
 
     # interrupt dispatch: seizes the interrupt processor immediately
     net.transition("dispatch", delay=0,

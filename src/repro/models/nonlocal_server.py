@@ -21,7 +21,7 @@ times (section 6.6.4) feeds back into the client model.
 from __future__ import annotations
 
 from repro.errors import ModelError
-from repro.gtpn import AnalysisResult, Context, Net, activity_pair
+from repro.gtpn import AnalysisResult, Guard, Net, activity_pair
 from repro.models.params import (NONLOCAL_SERVER_PARAMS, Architecture,
                                  NonlocalServerParams)
 
@@ -67,26 +67,23 @@ def build_nonlocal_server_net(architecture: Architecture,
     interrupt_processor = host if uniprocessor else \
         net.place("MP", tokens=1)
 
-    def interrupt_free(ctx: Context) -> bool:
-        """Thesis's ``(RequestService = 0) & !Tmatch & !Tmatch'``."""
-        return (ctx.tokens("NetIntr") == 0
-                and ctx.tokens("IntrSvc") == 0
-                and not ctx.firing("match")
-                and not ctx.firing("match.loop"))
+    # the thesis's ``(RequestService = 0) & !Tmatch & !Tmatch'``
+    interrupt_free = Guard(empty=("NetIntr", "IntrSvc"),
+                           idle=("match", "match.loop"))
 
     if uniprocessor:
         # Architecture I (Table 6.8): receive on the host, inhibited
         # during interrupt processing.
         activity_pair(net, "receive", params.receive_step,
                       inputs=[servers], outputs=[client_wait],
-                      holds=[host], gate=interrupt_free)
+                      holds=[host], guard=interrupt_free)
     else:
         rcv_req = net.place("RcvReq")
         activity_pair(net, "receive", params.receive_step,
                       inputs=[servers], outputs=[rcv_req], holds=[host])
         activity_pair(net, "process_receive", params.process_receive,
                       inputs=[rcv_req], outputs=[client_wait],
-                      holds=[interrupt_processor], gate=interrupt_free)
+                      holds=[interrupt_processor], guard=interrupt_free)
 
     # T3/T4 or T2/T3 — surrogate client delay (infinite server); each
     # exit is one request arriving at this node.
@@ -108,7 +105,7 @@ def build_nonlocal_server_net(architecture: Architecture,
         # interrupts; completes the round trip.
         activity_pair(net, "serve", params.serve_base + compute_time,
                       inputs=[server_ready], outputs=[servers],
-                      holds=[host], gate=interrupt_free,
+                      holds=[host], guard=interrupt_free,
                       resource="lambda_out", occupancy=OCCUPANCY)
     else:
         reply_req = net.place("ReplyReq")
@@ -119,7 +116,7 @@ def build_nonlocal_server_net(architecture: Architecture,
         # T11/T12 — process reply (MP), inhibited by interrupts
         activity_pair(net, "process_reply", params.process_reply,
                       inputs=[reply_req], outputs=[servers],
-                      holds=[interrupt_processor], gate=interrupt_free,
+                      holds=[interrupt_processor], guard=interrupt_free,
                       resource="lambda_out", occupancy=OCCUPANCY)
     return net
 

@@ -59,9 +59,12 @@ def solve(architecture: Architecture, mode: Mode, conversations: int,
         raise ModelError("need at least one conversation")
     if compute_time < 0:
         raise ModelError("compute time must be non-negative")
+    from repro import config
     sync = _resolve_sync(architecture, sync)
-    throughput = _solve_cached(architecture, mode, conversations,
-                               float(compute_time), sync)
+    key = (architecture, mode, conversations, float(compute_time), sync,
+           config.reduction())
+    throughput = _solve_cached(*key) if config.cache_enabled() \
+        else _solve_point(*key)
     return ThroughputResult(architecture=architecture, mode=mode,
                             conversations=conversations,
                             compute_time=compute_time,
@@ -77,10 +80,15 @@ def _resolve_sync(architecture: Architecture,
     return name if architecture is Architecture.II else "tas"
 
 
-@lru_cache(maxsize=4096)
-def _solve_cached(architecture: Architecture, mode: Mode,
-                  conversations: int, compute_time: float,
-                  sync: str = "tas") -> float:
+def _solve_point(architecture: Architecture, mode: Mode,
+                 conversations: int, compute_time: float, sync: str,
+                 reduction: str) -> float:
+    """Throughput of one point under *reduction*.
+
+    *reduction* is the resolved ``config.reduction()``, which the
+    non-local fixed point's solvers also resolve; it is an argument so
+    that it is part of the :func:`_solve_cached` key.
+    """
     if mode is Mode.LOCAL:
         params = None
         if sync != "tas":
@@ -88,7 +96,7 @@ def _solve_cached(architecture: Architecture, mode: Mode,
             params = syncmodel.local_params(sync)
         net = build_local_net(architecture, conversations, compute_time,
                               params=params)
-        return analyze(net).throughput()
+        return analyze(net, reduction=reduction).throughput()
     client_params = server_params = None
     if sync != "tas":
         from repro.models import syncmodel
@@ -98,6 +106,11 @@ def _solve_cached(architecture: Architecture, mode: Mode,
         architecture, conversations, compute_time,
         client_params=client_params, server_params=server_params)
     return solution.throughput
+
+
+#: in-process memo of :func:`_solve_point`, bypassed when the analysis
+#: cache is disabled so ``--no-cache`` re-solves every point
+_solve_cached = lru_cache(maxsize=4096)(_solve_point)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ModelError
-from repro.gtpn import Net, analyze
+from repro.gtpn import Guard, Net, analyze
 from repro.models.params import Architecture
 from repro.models.symmetric import build_replicated_local_net
 from repro.perf import set_cache_enabled
@@ -148,3 +148,36 @@ def test_declare_symmetry_rejects_mismatched_delay():
     with pytest.raises(ModelError, match="delay"):
         net.declare_symmetry([(["A0", "B0"], ["t0"]),
                               (["A1", "B1"], ["t1"])])
+
+
+def _guarded_pair_net(mirrored: bool):
+    """Replicas share the host; replica k's ``r`` idles on the other
+    replica's ``t`` when *mirrored*, on replica 1's ``t`` otherwise."""
+    net = Net("guarded-pair")
+    host = net.place("Host", tokens=1)
+    for k in (0, 1):
+        net.place(f"A{k}", tokens=1)
+        net.place(f"B{k}")
+    for k in (0, 1):
+        a, b = net.get_place(f"A{k}"), net.get_place(f"B{k}")
+        net.transition(f"t{k}", delay=2, inputs=[a, host],
+                       outputs=[b, host])
+        net.transition(f"r{k}", delay=1, inputs=[b], outputs=[a],
+                       resource="lambda",
+                       guard=Guard(idle=(f"t{1 - k if mirrored else 1}",)))
+    return net
+
+
+def test_declare_symmetry_checks_guards():
+    net = _guarded_pair_net(mirrored=False)
+    with pytest.raises(ModelError, match="guard"):
+        net.declare_symmetry([(["A0", "B0"], ["t0", "r0"]),
+                              (["A1", "B1"], ["t1", "r1"])])
+    net = _guarded_pair_net(mirrored=True)
+    net.declare_symmetry([(["A0", "B0"], ["t0", "r0"]),
+                          (["A1", "B1"], ["t1", "r1"])])
+    plain = analyze(net, reduction="none", cache=None)
+    lumped = analyze(net, reduction="lump", cache=None)
+    assert lumped.state_count < plain.state_count
+    assert lumped.throughput() == pytest.approx(plain.throughput(),
+                                                rel=1e-12)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ModelError
-from repro.gtpn import Context, Net
+from repro.gtpn import Guard, Net
 
 
 def test_place_creation_assigns_indices():
@@ -160,39 +160,58 @@ class TestConflictClasses:
         assert net.conflict_classes() == [[0, 1]]
 
 
-class TestContext:
+class TestGuard:
     def _net(self):
         net = Net()
-        net.place("A", tokens=3)
+        a = net.place("A", tokens=3)
         net.place("B", tokens=0)
-        a = net.get_place("A")
         net.transition("T", delay=1, inputs=[a], outputs=[a])
         return net
 
-    def test_tokens_by_name_and_place(self):
+    def test_resolves_names_to_sorted_indices(self):
         net = self._net()
-        ctx = Context(net, (3, 0), [0])
-        assert ctx.tokens("A") == 3
-        assert ctx.tokens(net.get_place("B")) == 0
+        guard = Guard(empty=["B", "A", "B"], idle=("T",))
+        assert guard.empty == ("B", "A", "B")      # lists become tuples
+        assert guard.resolve(net) == ((0, 1), (0,))
+        assert hash(guard) == hash(Guard(empty=("B", "A", "B"),
+                                         idle=("T",)))
 
-    def test_firing_flags(self):
-        net = self._net()
-        ctx = Context(net, (3, 0), [2])
-        assert ctx.firing("T")
-        assert ctx.firing_count("T") == 2
-        ctx2 = Context(net, (3, 0), [0])
-        assert not ctx2.firing("T")
-
-    def test_state_dependent_frequency_uses_context(self):
+    def test_names_resolve_lazily_against_later_declarations(self):
         net = Net()
         a = net.place("A", tokens=1)
-        gate = net.place("Gate", tokens=0)
-        t = net.transition(
-            "T", delay=1,
-            frequency=lambda ctx: 1.0 if ctx.tokens("Gate") == 0 else 0.0,
-            inputs=[a], outputs=[a])
-        open_ctx = Context(net, (1, 0), [0, 0])
-        closed_ctx = Context(net, (1, 1), [0, 0])
-        assert t.eval_frequency(open_ctx) == 1.0
-        assert t.eval_frequency(closed_ctx) == 0.0
-        assert gate.index == 1
+        t = net.transition("T", delay=1, inputs=[a], outputs=[a],
+                           guard=Guard(idle=("Later",)))
+        with pytest.raises(ModelError, match="Later"):
+            net.resolved_guards()
+        net.transition("Later", delay=1, inputs=[a], outputs=[a])
+        assert net.resolved_guards() == [((), (1,)), None]
+        assert t.guard.resolve(net) == ((), (1,))
+
+    def test_guarded_transition_keeps_its_static_frequency(self):
+        net = Net()
+        a = net.place("A", tokens=1)
+        net.place("Gate", tokens=0)
+        t = net.transition("T", delay=1, frequency=0.25,
+                           guard=Guard(empty=("Gate",)),
+                           inputs=[a], outputs=[a])
+        assert t.frequency == 0.25
+        assert t.frequency_label == "0.25"
+        assert t.guard == Guard(empty=("Gate",))
+
+
+def test_negative_frequency_rejected():
+    net = Net()
+    a = net.place("A", tokens=1)
+    with pytest.raises(ModelError, match="frequency"):
+        net.transition("T", delay=1, frequency=-0.5, inputs=[a],
+                       outputs=[a])
+
+
+def test_callable_attributes_rejected():
+    net = Net()
+    a = net.place("A", tokens=1)
+    with pytest.raises(ModelError, match="frequency"):
+        net.transition("T", delay=1, frequency=lambda ctx: 1.0,
+                       inputs=[a], outputs=[a])
+    with pytest.raises(ModelError, match="delay"):
+        net.transition("T", delay=lambda ctx: 1, inputs=[a], outputs=[a])

@@ -1,25 +1,31 @@
 """Tests for the array-native packed GTPN engine (repro.gtpn.packed).
 
 The contract under test: with ``reduction="none"`` the packed engine is
-*bit-identical* to the historical object walk — same state order, same
-sparse row dicts, same expected-start vectors, same stationary vector —
-on nets covering multi-tick delays, immediate transitions, multi-token
-places and conflict classes.  Plus the supporting machinery: the
-pack/unpack round trip, the vectorized row interner, and the structured
-state-space limit error.
+*bit-identical* to the object walk kept as the oracle
+(``reachability._build_object_graph``) — same state order, same sparse
+row dicts, same expected-start vectors, same stationary vector — on
+nets covering multi-tick delays, immediate transitions, multi-token
+places, conflict classes and guards (every non-local client and server
+net of archs I-IV at n = 1..3 on one and two hosts).  Plus the
+supporting machinery: the pack/unpack round trip, the vectorized row
+interner, the structured state-space limit error and the encoding caps.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 
-from repro.errors import StateSpaceLimitError
-from repro.gtpn import Net, activity_pair
+from repro.errors import AnalysisError, StateSpaceLimitError
+from repro.gtpn import Guard, Net, activity_pair, analyze, packed
 from repro.gtpn.markov import stationary_distribution
 from repro.gtpn.packed import (_Interner, _unique_rows_first_seen,
                                compile_packed, packed_build,
                                packed_retime)
 from repro.gtpn.reachability import _build_object_graph
 from repro.models.local import build_local_net
+from repro.models.nonlocal_client import build_nonlocal_client_net
+from repro.models.nonlocal_server import build_nonlocal_server_net
 from repro.models.params import Architecture
 
 
@@ -65,9 +71,46 @@ def _conflict_net() -> Net:
     return net
 
 
+def _guarded_relay_net() -> Net:
+    """``G`` idles on ``Slow``, which competes with ``Other`` for A.
+
+    ``G``'s input arrives through an immediate hop, so ``G`` is first
+    enabled in the second settle round, after the first round started
+    ``Slow`` or ``Other``: the guard must see a firing started earlier
+    in the same tick.  The post-advance marking with ``Slow`` or
+    ``Other`` in flight is the same, so the settle memo must key on
+    ``Slow``'s in-flight count as well as on the marking.
+    """
+    net = Net("guarded-relay")
+    a = net.place("A", tokens=1)
+    b = net.place("B")
+    c = net.place("C", tokens=1)
+    net.transition("Slow", delay=2, frequency=0.5, inputs=[a],
+                   outputs=[a])
+    net.transition("Other", delay=2, frequency=0.5, inputs=[a],
+                   outputs=[a])
+    net.transition("hop", delay=0, inputs=[c], outputs=[b])
+    net.transition("G", delay=1, guard=Guard(idle=("Slow",)),
+                   inputs=[b], outputs=[c], resource="lambda")
+    return net
+
+
+def _nonlocal_nets() -> list:
+    nets = []
+    for arch, n, hosts in itertools.product(Architecture, (1, 2, 3),
+                                            (1, 2)):
+        nets.append(lambda a=arch, n=n, h=hosts:
+                    build_nonlocal_client_net(a, n, 3000.0, hosts=h))
+        nets.append(lambda a=arch, n=n, h=hosts:
+                    build_nonlocal_server_net(a, n, 2000.0, 100.0,
+                                              hosts=h))
+    return nets
+
+
 NETS = [_cycle_net, _immediate_net, _conflict_net,
         lambda: build_local_net(Architecture.I, 2),
-        lambda: build_local_net(Architecture.II, 2)]
+        lambda: build_local_net(Architecture.II, 2),
+        _guarded_relay_net, *_nonlocal_nets()]
 
 
 def _assert_bit_identical(og, pg):
@@ -84,9 +127,7 @@ def _assert_bit_identical(og, pg):
 def test_packed_build_is_bit_identical_to_object_walk(make):
     net = make()
     og = _build_object_graph(net, 200_000)
-    pnet = compile_packed(net)
-    assert pnet is not None
-    pg, _ = packed_build(net, pnet, max_states=200_000)
+    pg, _ = packed_build(net, compile_packed(net), max_states=200_000)
     _assert_bit_identical(og, pg)
     assert (stationary_distribution(og) == stationary_distribution(pg)).all()
 
@@ -149,3 +190,45 @@ def test_state_space_limit_error_is_structured():
     # the object walk raises the same structured error
     with pytest.raises(StateSpaceLimitError):
         _build_object_graph(net, 100)
+
+
+def test_guard_memo_keys_on_inflight_counts():
+    """Without the in-flight column the relay net's settle memo would
+    reuse one outcome for two states sharing a marking; the guard then
+    shows up as a lower G rate than the oracle's."""
+    net = _guarded_relay_net()
+    pnet = compile_packed(net)
+    assert pnet.n_settle == pnet.n_places + 1
+    graph, _ = packed_build(net, pnet, max_states=1_000)
+    oracle = _build_object_graph(net, 1_000)
+    assert graph.probabilities == oracle.probabilities
+    assert len({s.marking for s in graph.states}) < graph.state_count
+
+
+@pytest.mark.parametrize("arch", list(Architecture), ids=str)
+def test_elim_on_nonlocal_net_matches_none(arch):
+    for net in (build_nonlocal_client_net(arch, 2, 3000.0),
+                build_nonlocal_server_net(arch, 2, 2000.0, 100.0)):
+        plain = analyze(net, reduction="none")
+        elim = analyze(net, reduction="elim")
+        assert elim.graph.reduction.requested == "elim"
+        for resource in net.resources:
+            assert elim.resource_usage(resource) == pytest.approx(
+                plain.resource_usage(resource), rel=1e-12, abs=1e-15)
+        for place in net.places:
+            assert elim.mean_tokens(place.name) == pytest.approx(
+                plain.mean_tokens(place.name), rel=1e-12, abs=1e-15)
+
+
+def test_width_cap_raises_naming_net_and_cap(monkeypatch):
+    monkeypatch.setattr(packed, "MAX_PACKED_WIDTH", 4)
+    with pytest.raises(AnalysisError,
+                       match=r"'cycle'.*MAX_PACKED_WIDTH = 4"):
+        compile_packed(_cycle_net())
+
+
+def test_class_member_cap_raises_naming_net_and_cap(monkeypatch):
+    monkeypatch.setattr(packed, "MAX_CLASS_MEMBERS", 1)
+    with pytest.raises(AnalysisError,
+                       match=r"'conflict'.*MAX_CLASS_MEMBERS = 1"):
+        compile_packed(_conflict_net())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import AnalysisError
-from repro.gtpn import Net, TickEngine
+from repro.gtpn import Guard, Net, TickEngine
 from repro.gtpn.state import ExhaustiveResolver, State
 
 
@@ -179,13 +179,40 @@ def test_state_dependent_gate_inhibits_class():
     a = net.place("A", tokens=1)
     gate = net.place("Gate", tokens=1)
     b = net.place("B")
-    net.transition(
-        "T", delay=1,
-        frequency=lambda ctx: 1.0 if ctx.tokens("Gate") == 0 else 0.0,
-        inputs=[a], outputs=[b])
+    net.transition("T", delay=1, guard=Guard(empty=("Gate",)),
+                   inputs=[a], outputs=[b])
     (branch,) = branches_of(net)
     assert branch.state.marking == (1, 1, 0)   # nothing moved
     assert gate.index == 1
+
+
+def guarded_relay_net() -> Net:
+    """``G`` idles on ``Slow``, which competes with ``Other`` for A.
+
+    ``G``'s input arrives through an immediate hop, so ``G`` is first
+    enabled in the second settle round, after the round-one choice
+    between ``Slow`` and ``Other`` has started one of them.
+    """
+    net = Net("guarded-relay")
+    a = net.place("A", tokens=1)
+    b = net.place("B")
+    c = net.place("C", tokens=1)
+    net.transition("Slow", delay=2, frequency=0.5, inputs=[a],
+                   outputs=[a])
+    net.transition("Other", delay=2, frequency=0.5, inputs=[a],
+                   outputs=[a])
+    net.transition("hop", delay=0, inputs=[c], outputs=[b])
+    net.transition("G", delay=1, guard=Guard(idle=("Slow",)),
+                   inputs=[b], outputs=[c], resource="lambda")
+    return net
+
+
+def test_guard_idle_sees_firings_started_this_tick():
+    net = guarded_relay_net()
+    starts = {branch.starts: branch.probability
+              for branch in branches_of(net)}
+    # Slow, Other, hop, G: G starts only when Other took the token
+    assert starts == {(1, 0, 1, 0): 0.5, (0, 1, 1, 1): 0.5}
 
 
 def test_probabilities_sum_to_one_across_branches():

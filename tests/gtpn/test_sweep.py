@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gtpn import Net, activity_pair, analyze
-from repro.gtpn.sweep import (SkeletonMismatch, SweepSolver, retime,
-                              sweep_analyze, traced_build)
+from repro.gtpn import Guard, Net, activity_pair, analyze
+from repro.gtpn.packed import packed_build, packed_retime
+from repro.gtpn.sweep import SkeletonMismatch, SweepSolver, sweep_analyze
 from repro.perf import set_cache_enabled
 from repro.perf.cache import fingerprint_net
 
@@ -28,18 +28,17 @@ def _cache_off():
 
 
 def _grid_net(f1: float, f2: float, mean: float) -> Net:
-    """One structure, three timing knobs: a conflict class (f1 vs f2),
-    a state-dependent frequency, and a geometric activity pair."""
+    """One structure, three timing knobs: a conflict class (f1 vs f2)
+    whose f2 member is guarded, and a geometric activity pair."""
     net = Net("sweep-grid")
-    ready = net.place("Ready", tokens=1)
+    ready = net.place("Ready", tokens=2)
     a = net.place("A")
     b = net.place("B")
     done = net.place("Done")
     net.transition("Ta", delay=1, frequency=f1,
                    inputs=[ready], outputs=[a])
-    net.transition("Tb", delay=2,
-                   frequency=lambda ctx: f2 if ctx.tokens("Done") == 0
-                   else f1,
+    net.transition("Tb", delay=2, frequency=f2,
+                   guard=Guard(empty=("Done",)),
                    inputs=[ready], outputs=[b])
     activity_pair(net, "work", mean, inputs=[a], outputs=[done])
     net.transition("join", delay=1, inputs=[b], outputs=[done])
@@ -115,20 +114,6 @@ def test_sweep_analyze_parallel_matches_pointwise():
         _assert_identical(swept, analyze(_grid_net(*point)))
 
 
-def test_object_retime_reuses_csr_plan_across_points():
-    """The CSR replay plan (successor targets, program gather indices)
-    is a pure function of the skeleton, so an object-path sweep must
-    build it once on the first replay and reuse it for every later
-    point of the same structure."""
-    solver = SweepSolver(cache=None)
-    for f2 in (0.3, 0.4, 0.5, 0.6):
-        solver.analyze(_grid_net(0.5, f2, 3.0))
-    assert solver.stats.skeleton_builds == 1
-    assert solver.stats.points_retimed == 3
-    assert solver.stats.csr_plans_built == 1
-    assert solver.stats.csr_plan_reuses == 2
-
-
 # ----------------------------------------------------------------------
 # rebuild fallback: timing changes that invalidate the skeleton
 # ----------------------------------------------------------------------
@@ -139,7 +124,7 @@ def _delay_net(d: int, f: float = 0.5) -> Net:
     done = net.place("Done")
     net.transition("Ta", delay=2, frequency=f,
                    inputs=[ready], outputs=[done])
-    net.transition("Tb", delay=lambda ctx: d,
+    net.transition("Tb", delay=d,
                    frequency=1.0 - f if f < 1.0 else 0.5,
                    inputs=[ready], outputs=[done])
     net.transition("loop", delay=1, inputs=[done], outputs=[ready],
@@ -147,29 +132,30 @@ def _delay_net(d: int, f: float = 0.5) -> Net:
     return net
 
 
-def test_retime_rejects_changed_dynamic_delay():
+def test_retime_rejects_changed_static_delay():
     net = _delay_net(2)
-    _graph, skeleton = traced_build(net)
+    _graph, skeleton = packed_build(net, max_states=10_000)
     changed = _delay_net(3)
     assert fingerprint_net(changed).structure == \
         fingerprint_net(net).structure
     with pytest.raises(SkeletonMismatch):
-        retime(skeleton, changed)
+        packed_retime(skeleton, changed, max_states=10_000)
 
 
 def test_retime_rejects_frequency_mask_flip():
     net = _grid_net(0.5, 0.5, 4.0)
-    _graph, skeleton = traced_build(net)
+    _graph, skeleton = packed_build(net, max_states=10_000)
     # Ta's frequency drops to zero: the conflict class resolves to a
     # different member set, so the recorded branches no longer apply
     with pytest.raises(SkeletonMismatch):
-        retime(skeleton, _grid_net(0.0, 0.5, 4.0))
+        packed_retime(skeleton, _grid_net(0.0, 0.5, 4.0),
+                      max_states=10_000)
 
 
 def test_solver_falls_back_to_rebuild_on_mismatch():
     solver = SweepSolver(cache=None)
     first = solver.analyze(_delay_net(2))
-    second = solver.analyze(_delay_net(3))     # dynamic delay changed
+    second = solver.analyze(_delay_net(3))     # Tb's delay changed
     assert solver.stats.mismatches == 1
     assert solver.stats.skeleton_builds == 2
     _assert_identical(first, analyze(_delay_net(2)))

@@ -26,6 +26,33 @@ def test_solve_caches_identical_calls():
     assert a.throughput == b.throughput
 
 
+def _analyze_spans(recorder) -> int:
+    return sum(span.name == "gtpn.analyze" for span in recorder.spans)
+
+
+def test_uncached_solve_reaches_the_analyzer():
+    """With the cache off, a repeated solve is solved again: the
+    in-process memo of ``solve`` honours ``--no-cache`` too."""
+    from repro import config, obs
+    with config.overrides(cache_enabled=False):
+        solve(Architecture.I, Mode.LOCAL, 1, 250.0)
+        with obs.recording() as recorder:
+            again = solve(Architecture.I, Mode.LOCAL, 1, 250.0)
+    assert _analyze_spans(recorder) == 1
+    assert again.throughput == \
+        solve(Architecture.I, Mode.LOCAL, 1, 250.0).throughput
+
+
+def test_solve_memo_keys_on_reduction():
+    from repro import config, obs
+    plain = solve(Architecture.II, Mode.NONLOCAL, 2, 750.0)
+    with config.overrides(reduction="elim"), \
+            obs.recording() as recorder:
+        elim = solve(Architecture.II, Mode.NONLOCAL, 2, 750.0)
+    assert any(span.name == "gtpn.solve" for span in recorder.spans)
+    assert elim.throughput == pytest.approx(plain.throughput, rel=1e-12)
+
+
 def test_communication_time_matches_local_sum_for_arch1():
     assert communication_time(Architecture.I, Mode.LOCAL) == \
         pytest.approx(4970.0, rel=1e-6)

@@ -4,7 +4,7 @@ from cold ones, and the fingerprint must key on structure, not names."""
 import numpy as np
 import pytest
 
-from repro.gtpn import Net, analyze
+from repro.gtpn import Guard, Net, analyze
 from repro.models import Architecture, build_local_net
 from repro.perf import AnalysisCache, cache_enabled, fingerprint_net, \
     set_cache_enabled
@@ -71,38 +71,44 @@ def test_fingerprint_distinguishes_initial_marking():
     assert fingerprint_net(net) != fingerprint_net(other)
 
 
-def test_fingerprint_covers_closure_values():
-    def freq_net(rate):
-        net = Net("freq")
-        ready = net.place("Ready", tokens=1)
-        done = net.place("Done")
-        net.transition("go", delay=1,
-                       frequency=lambda ctx: rate,
-                       inputs=[ready], outputs=[done],
-                       resource="lambda")
-        net.transition("back", delay=1, inputs=[done], outputs=[ready])
-        return net
-
-    same = fingerprint_net(freq_net(0.5))
-    assert fingerprint_net(freq_net(0.5)) == same
-    assert fingerprint_net(freq_net(0.25)) != same
-
-
-def test_uncacheable_callable_yields_none():
-    import functools
-    net = Net("partial")
-    ready = net.place("Ready", tokens=1)
+def _guarded_net(guard=None):
+    net = Net("guarded")
+    ready = net.place("Ready", tokens=2)
     done = net.place("Done")
-    net.transition("go", delay=1,
-                   frequency=functools.partial(lambda ctx, v: v, v=1.0),
-                   inputs=[ready], outputs=[done])
-    net.transition("back", delay=1, inputs=[done], outputs=[ready])
-    assert fingerprint_net(net) is None
-    # the analyzer must still solve it (no cache participation)
+    net.transition("go", delay=1, inputs=[ready], outputs=[done],
+                   resource="lambda", guard=guard)
+    net.transition("back", delay=2, frequency=0.5, inputs=[done],
+                   outputs=[ready])
+    net.transition("skip", delay=1, frequency=0.5, inputs=[done],
+                   outputs=[ready])
+    return net
+
+
+def test_fingerprint_covers_guard():
+    from repro.gtpn.sweep import SweepSolver
+    guards = [None, Guard(idle=("back",)), Guard(empty=("Done",))]
+    fps = [fingerprint_net(_guarded_net(g)) for g in guards]
+    assert len({fp.structure for fp in fps}) == 3
+    assert len({fp.timing for fp in fps}) == 1
+
+    # one shared cache: no payload hit, one skeleton per guard
     cache = AnalysisCache()
-    result = analyze(net, cache=cache)
-    assert result.state_count > 0
-    assert len(cache) == 0
+    results = [analyze(_guarded_net(g), cache=cache) for g in guards]
+    assert cache.hits == 0 and cache.misses == 3
+    skeletons = [cache.get_structure(fp.structure, kind="packed:none")
+                 for fp in fps]
+    assert len({id(sk) for sk in skeletons}) == 3
+    assert [sk.guards[0] for sk in skeletons] == \
+        [None, ((), (1,)), ((1,), ())]
+    assert results[0].throughput() != results[1].throughput()
+
+    # a sweep solver never re-times one guard's skeleton for another
+    solver = SweepSolver(cache=None)
+    for guard, fresh in zip(guards, results):
+        swept = solver.analyze(_guarded_net(guard))
+        assert swept.throughput() == fresh.throughput()
+    assert solver.stats.skeleton_builds == 3
+    assert solver.stats.points_retimed == 0
 
 
 def test_disk_tier_shares_solves(tmp_path):
