@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.experiments import run_experiment
 from repro.experiments.registry import get_experiment
 
 

@@ -24,9 +24,8 @@ from repro.experiments.figures import figure_6_18
 from repro.gtpn import analyze
 from repro.gtpn.sweep import SweepSolver
 from repro.models import Architecture, build_local_net
-from repro.models.solve import _solve_cached
 from repro.obs.clock import perf_now
-from repro.perf import AnalysisCache, set_cache_enabled
+from repro.perf import Store, get_cache, set_cache_enabled
 from repro.perf.backends import last_map_info
 
 #: Required wall-clock improvement of the winning fast path.
@@ -91,7 +90,7 @@ def test_bench_sweep_vs_pointwise_analyze(perf_record):
 def test_bench_exact_analysis_cold_vs_warm(perf_record):
     """Same workload as ``test_bench_exact_analysis_arch2_local``,
     solved cold and then through the content-addressed cache."""
-    cache = AnalysisCache()
+    cache = Store()
     cold_result, cold_s = _timed(
         analyze, build_local_net(Architecture.II, 3, 1000.0),
         cache=cache)
@@ -120,9 +119,9 @@ def test_bench_figure_6_18_serial_parallel_warm(perf_record):
 
     set_cache_enabled(False)
     try:
-        _solve_cached.cache_clear()
+        get_cache().clear()
         serial, serial_s = _timed(figure_6_18, jobs=1, **_FIGURE_GRID)
-        _solve_cached.cache_clear()
+        get_cache().clear()
         parallel, parallel_s = _timed(figure_6_18, jobs=jobs,
                                       **_FIGURE_GRID)
         pool_info = last_map_info()
@@ -130,10 +129,8 @@ def test_bench_figure_6_18_serial_parallel_warm(perf_record):
         set_cache_enabled(True)
 
     from repro.perf import configure_cache
-    configure_cache()               # fresh global cache
-    _solve_cached.cache_clear()
-    figure_6_18(jobs=1, **_FIGURE_GRID)          # populate the cache
-    _solve_cached.cache_clear()
+    configure_cache()               # fresh global store
+    figure_6_18(jobs=1, **_FIGURE_GRID)          # populate the store
     warm, warm_s = _timed(figure_6_18, jobs=1, **_FIGURE_GRID)
 
     parallel_speedup = serial_s / parallel_s
@@ -334,13 +331,13 @@ def test_bench_obs_disabled_overhead(perf_record):
     assert not obs.enabled()
     result, solve_s = _timed(
         analyze, build_local_net(Architecture.II, 3, 1000.0),
-        cache=AnalysisCache())
+        cache=Store())
 
     # replay the identical solve under a recorder purely to count how
     # many hooks fire on this path (spans + events + counter bumps)
     with obs.recording() as recorder:
         analyze(build_local_net(Architecture.II, 3, 1000.0),
-                cache=AnalysisCache())
+                cache=Store())
     hook_calls = (len(recorder.spans) + len(recorder.events)
                   + int(sum(recorder.counters.values())))
     assert not obs.enabled()

@@ -10,7 +10,7 @@ server computation is comparable to communication.
 Run:  python examples/profiling_study.py
 """
 
-from repro.experiments import run_experiment
+from repro.api import run_experiment
 from repro.profiling import (ALL_SYSTEMS, CHARLOTTE_NONLOCAL,
                              UNIX_SERVICE_TIMES_MS, copy_percent,
                              offered_load_range,

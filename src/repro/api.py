@@ -11,8 +11,8 @@ registered experiment:
     result.obs_summary["counters"]
 
 Keyword arguments mirror the CLI flags exactly (``seed`` ↔ ``--seed``,
-``jobs`` ↔ ``--jobs``, ``cache=False`` ↔ ``--no-cache``, ``backend`` ↔
-``--backend``) and are applied through scoped
+``jobs`` ↔ ``--jobs``, ``cache=False`` ↔ ``--no-cache``) and are
+applied through scoped
 :func:`repro.config.overrides`, so the run sees the same precedence as
 a CLI invocation and nothing leaks afterwards.  ``fault_plan``
 installs a default :class:`~repro.faults.plan.FaultPlan` every
@@ -25,18 +25,15 @@ lane**: the run executes synchronously in the calling thread (same
 stack traces, same profiling, same obs bit-identity as ever) while
 :func:`submit_experiment` exposes the asynchronous side — a
 :class:`~repro.service.jobs.JobHandle` with ``poll`` / ``result`` /
-``stream_events``, request coalescing, and the content-addressed
-result store (:mod:`repro.service`).
+``stream_events``, request coalescing, and the ``result`` namespace of
+the content-addressed store (:mod:`repro.service`,
+:mod:`repro.perf.cache`).
 
 ``trace=PATH`` records the run with :mod:`repro.obs` and writes both
 exports: a Chrome-trace JSON at *PATH* and the versioned JSONL stream
 next to it.  The resolved configuration snapshot rides in both
 headers.  Tracing never changes computed values (the bit-identity
 contract of :mod:`repro.obs`).
-
-The historical entry point
-:func:`repro.experiments.registry.run_experiment` still works but
-emits a :class:`DeprecationWarning` and delegates here.
 """
 
 from __future__ import annotations
@@ -149,8 +146,8 @@ def run_traced(label: str, fn: Callable[[], Any], *,
 
 
 def _run_overrides(*, seed: int | None = None, jobs: int | None = None,
-                   cache: bool | None = None, backend: str | None = None,
-                   fault_plan=None, duration: float | None = None,
+                   cache: bool | None = None, fault_plan=None,
+                   duration: float | None = None,
                    arrival_rate: float | None = None,
                    deadline: float | None = None,
                    queue_limit: int | None = None) -> dict:
@@ -164,8 +161,6 @@ def _run_overrides(*, seed: int | None = None, jobs: int | None = None,
         kwargs["jobs"] = jobs
     if cache is not None:
         kwargs["cache_enabled"] = cache
-    if backend is not None:
-        kwargs["backend"] = backend
     if fault_plan is not None:
         kwargs["fault_plan"] = fault_plan
     if duration is not None:
@@ -187,7 +182,7 @@ def _execute_run(experiment_id: str, run_kwargs: dict,
     *run_kwargs* are :func:`config.overrides` keywords (the shape
     :func:`_run_overrides` produces).  This is the only place an
     experiment actually runs; everything above it — queueing,
-    coalescing, the result store — is routing.
+    coalescing, the store — is routing.
     """
     from repro.experiments.registry import get_experiment
     experiment = get_experiment(experiment_id)
@@ -216,15 +211,14 @@ def _execute_run(experiment_id: str, run_kwargs: dict,
 
 def run_experiment(experiment_id: str, *, seed: int | None = None,
                    jobs: int | None = None, cache: bool | None = None,
-                   backend: str | None = None, fault_plan=None,
-                   duration: float | None = None,
+                   fault_plan=None, duration: float | None = None,
                    arrival_rate: float | None = None,
                    deadline: float | None = None,
                    queue_limit: int | None = None,
                    trace: str | Path | None = None) -> ExperimentResult:
     """Run one registered experiment with scoped configuration.
 
-    ``seed``/``jobs``/``cache``/``backend`` default to ``None`` =
+    ``seed``/``jobs``/``cache`` default to ``None`` =
     "whatever the surrounding CLI/env configuration says"; a
     non-``None`` value takes CLI precedence for this run only.
     ``fault_plan`` makes every kernel-simulator system in the run
@@ -236,23 +230,22 @@ def run_experiment(experiment_id: str, *, seed: int | None = None,
 
     Equivalent to ``submit_experiment(...).result()`` through the
     service's inline lane: synchronous, in this thread, bypassing the
-    queue, coalescing, and the result store.
+    queue, coalescing, and the store's ``result`` namespace.
     """
     from repro.service import default_service
     handle = default_service().submit(
         experiment_id, lane="inline", trace=trace,
         **_run_overrides(seed=seed, jobs=jobs, cache=cache,
-                         backend=backend, fault_plan=fault_plan,
-                         duration=duration, arrival_rate=arrival_rate,
-                         deadline=deadline, queue_limit=queue_limit))
+                         fault_plan=fault_plan, duration=duration,
+                         arrival_rate=arrival_rate, deadline=deadline,
+                         queue_limit=queue_limit))
     return handle.result()
 
 
-def submit_experiment(experiment_id: str, *, tenant: str = "default",
-                      service=None, seed: int | None = None,
+def submit_experiment(experiment_id: str, *, service=None,
+                      seed: int | None = None,
                       jobs: int | None = None, cache: bool | None = None,
-                      backend: str | None = None, fault_plan=None,
-                      duration: float | None = None,
+                      fault_plan=None, duration: float | None = None,
                       arrival_rate: float | None = None,
                       deadline: float | None = None,
                       queue_limit: int | None = None,
@@ -262,18 +255,17 @@ def submit_experiment(experiment_id: str, *, tenant: str = "default",
 
     The asynchronous sibling of :func:`run_experiment` (same keywords,
     same semantics once the job runs): the submission goes through the
-    default :class:`~repro.service.ExperimentService` — admission
-    control, request coalescing, the content-addressed result store —
-    and the handle exposes ``poll()`` / ``result(timeout)`` /
+    default :class:`~repro.service.ExperimentService` — the bounded
+    queue, request coalescing, the store's ``result`` namespace — and
+    the handle exposes ``poll()`` / ``result(timeout)`` /
     ``stream_events()``.  Pass ``service=`` to target a specific
-    service instance, ``tenant=`` to attribute the work under
-    per-tenant admission quotas.
+    service instance.
     """
     from repro.service import default_service
     svc = service if service is not None else default_service()
     return svc.submit(
-        experiment_id, tenant=tenant, trace=trace,
+        experiment_id, trace=trace,
         **_run_overrides(seed=seed, jobs=jobs, cache=cache,
-                         backend=backend, fault_plan=fault_plan,
-                         duration=duration, arrival_rate=arrival_rate,
-                         deadline=deadline, queue_limit=queue_limit))
+                         fault_plan=fault_plan, duration=duration,
+                         arrival_rate=arrival_rate, deadline=deadline,
+                         queue_limit=queue_limit))

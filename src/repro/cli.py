@@ -15,18 +15,16 @@ Usage::
     python -m repro solve --arch II --mode local -n 4 -x 2850
     python -m repro validate --quick
     python -m repro validate --rebaseline
-    python -m repro --backend sharded --jobs 4 run figure-6.18
     python -m repro serve figure-6.7 table-5.1 --repeat 3 --stats
 
 ``--jobs N`` fans the grid points of sweep experiments out over N
-worker processes (``REPRO_JOBS`` sets the same default); ``--backend``
-picks the executor family those workers run under (``serial`` /
-``local`` / ``sharded``, see :mod:`repro.perf.backends`);
-``--no-cache`` disables the content-addressed analysis cache
-(``REPRO_CACHE_DIR`` enables its on-disk tier).  None of these flags
-changes any computed value.  ``repro serve`` drives the async
-experiment service (:mod:`repro.service`): submissions queue, twins
-coalesce, and repeats answer from the content-addressed result store.
+worker processes of the persistent local pool (``REPRO_JOBS`` sets the
+same default; see :mod:`repro.perf.backends`); ``--no-cache`` turns
+off the content-addressed store of analyses, solves and results
+(``REPRO_CACHE_DIR`` gives it an on-disk tier).  Neither flag changes
+any computed value.  ``repro serve`` drives the async experiment
+service (:mod:`repro.service`): submissions queue, twins coalesce,
+and repeats answer from the store.
 ``--seed N`` sets the default seed of every stochastic component
 (``REPRO_SEED`` sets the same default); runs are deterministic either
 way, the seed just selects which deterministic run.  Flag/env/default
@@ -306,12 +304,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Drive the experiment service: submit ids (with repeats) through
     the async queue, report per-job outcomes, optionally dump stats."""
-    from repro.service import ExperimentService, ResultStore
-    store = ResultStore(directory=args.store) \
-        if args.store is not None else None
+    from repro.service import ExperimentService
     service = ExperimentService(workers=args.workers,
-                                queue_depth=args.queue_depth,
-                                policy=args.policy, store=store)
+                                queue_depth=args.queue_depth)
     try:
         handles = []
         rejected = 0
@@ -453,12 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
              "REPRO_JOBS or serial); results are identical at any N")
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the content-addressed GTPN analysis cache")
-    parser.add_argument(
-        "--backend", metavar="NAME", default=None,
-        help="sweep executor backend: serial, local, or sharded "
-             "(default: REPRO_BACKEND or local); results are "
-             "identical on any backend")
+        help="disable the content-addressed store of analyses, solves "
+             "and results")
     parser.add_argument(
         "--seed", type=int, default=None, metavar="N",
         help="default seed for every stochastic component (default: "
@@ -655,16 +646,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="service worker threads (default 2; executions are "
              "serialised, workers overlap queueing and bookkeeping)")
     p_serve.add_argument(
-        "--policy", choices=["drop", "reject", "backpressure"],
-        default="backpressure",
-        help="admission policy at a full queue (default backpressure)")
-    p_serve.add_argument(
         "--queue-depth", type=int, default=64, metavar="N",
-        help="bounded job-queue depth (default 64)")
-    p_serve.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="result-store disk tier (default: REPRO_RESULT_DIR or "
-             "memory-only)")
+        help="bounded job-queue depth; a full queue makes the "
+             "submitter wait (default 64)")
     p_serve.add_argument(
         "--timeout", type=float, default=600.0, metavar="S",
         help="per-job result timeout in seconds (default 600)")
@@ -695,11 +679,6 @@ def main(argv: list[str] | None = None) -> int:
         config.set_jobs(args.jobs)
     if args.no_cache:
         config.set_cache_enabled(False)
-    if args.backend is not None:
-        try:
-            config.set_backend(args.backend)
-        except ReproError as error:
-            parser.error(str(error))
     if args.seed is not None:
         config.set_seed(args.seed)
     if args.reduction is not None:

@@ -8,12 +8,10 @@ knob             CLI flag            environment        default
 ===============  ==================  =================  =============
 worker count     ``--jobs N``        ``REPRO_JOBS``     1 (serial)
 seed             ``--seed N``        ``REPRO_SEED``     per-component
-analysis cache   ``--no-cache``      ``REPRO_NO_CACHE`` enabled
-cache directory  (none)              ``REPRO_CACHE_DIR``  memory-only
+store            ``--no-cache``      ``REPRO_NO_CACHE`` enabled
+store directory  (none)              ``REPRO_CACHE_DIR``  memory-only
 state reduction  ``--reduction M``   ``REPRO_REDUCTION``  ``none``
-executor backend ``--backend B``     ``REPRO_BACKEND``  ``local``
 sync primitive   ``--sync P``        ``REPRO_SYNC``     ``tas``
-result store     (none)              ``REPRO_RESULT_DIR``  memory-only
 traffic window   ``--duration US``   ``REPRO_DURATION`` per-experiment
 arrival rate     ``--arrival-rate R``  ``REPRO_ARRIVAL_RATE``  per-exp.
 deadline         ``--deadline US``   ``REPRO_DEADLINE`` none
@@ -259,52 +257,6 @@ def _resolve_reduction(cli=_UNSET) -> tuple[str, str]:
 
 
 # ----------------------------------------------------------------------
-# executor backend (see repro.perf.backends)
-# ----------------------------------------------------------------------
-
-#: Recognized sweep-executor backends.  ``serial`` runs every sweep
-#: in-process, ``local`` is the persistent primed process pool, and
-#: ``sharded`` adds per-worker chunk shards with work stealing.  The
-#: choice never changes computed values — only wall-clock time and
-#: scheduling (the bit-identity contract of ``repro.perf.backends``).
-VALID_BACKENDS = ("serial", "local", "sharded")
-
-_cli_backend: str | None = None
-
-
-def normalize_backend(value, source: str = "backend") -> str:
-    """Canonical backend name, or :class:`ConfigError` for junk."""
-    name = str(value).strip().lower()
-    if name not in VALID_BACKENDS:
-        raise ConfigError(
-            f"{source} must be one of {', '.join(VALID_BACKENDS)}, "
-            f"got {value!r}")
-    return name
-
-
-def set_backend(name: str | None) -> None:
-    """Install the CLI executor backend (``None`` reverts to
-    env/default)."""
-    global _cli_backend
-    _cli_backend = None if name is None \
-        else normalize_backend(name, "backend")
-
-
-def backend() -> str:
-    """Resolved backend: CLI > ``REPRO_BACKEND`` > ``"local"``."""
-    return _resolve_backend()[0]
-
-
-def _resolve_backend() -> tuple[str, str]:
-    if _cli_backend is not None:
-        return _cli_backend, "cli"
-    env = os.environ.get("REPRO_BACKEND", "")
-    if env.strip():
-        return normalize_backend(env, "REPRO_BACKEND"), "env"
-    return "local", "default"
-
-
-# ----------------------------------------------------------------------
 # synchronization primitive (see repro.memory.primitives)
 # ----------------------------------------------------------------------
 
@@ -313,11 +265,11 @@ def _resolve_backend() -> tuple[str, str]:
 #: spinlock baseline (Table 6.1's 60 us + 14 cycles); ``cas``,
 #: ``llsc`` and ``htm`` re-cost the same section 5.1 queue algorithms
 #: under compare-and-swap, load-linked/store-conditional and
-#: speculative (HTM-style) synchronization.  Unlike ``--backend``,
-#: this knob **changes computed values**: the architecture II model
-#: parameters are re-derived from the selected primitive's microcoded
-#: cost row, so it is part of a job's identity
-#: (:func:`ambient_config`).
+#: speculative (HTM-style) synchronization.  This knob **changes
+#: computed values**: the architecture II model parameters are
+#: re-derived from the selected primitive's microcoded cost row, so it
+#: is part of a job's identity (:func:`ambient_config`) and of the
+#: store's ``solve`` key.
 VALID_SYNCS = ("tas", "cas", "llsc", "htm")
 
 _cli_sync: str | None = None
@@ -354,13 +306,6 @@ def _resolve_sync(cli=_UNSET) -> tuple[str, str]:
     if env.strip():
         return normalize_sync(env, "REPRO_SYNC"), "env"
     return "tas", "default"
-
-
-def result_dir() -> str | None:
-    """The experiment-service result-store directory
-    (``REPRO_RESULT_DIR``), if any — the on-disk tier that lets
-    service results survive restarts and be shared across processes."""
-    return os.environ.get("REPRO_RESULT_DIR") or None
 
 
 # ----------------------------------------------------------------------
@@ -465,13 +410,12 @@ def default_fault_plan():
 def reset() -> None:
     """Drop every CLI-level override (tests and fresh CLI entry)."""
     global _cli_jobs, _cli_seed, _cli_cache_enabled, _default_fault_plan
-    global _cli_reduction, _cli_backend, _cli_sync
+    global _cli_reduction, _cli_sync
     _cli_jobs = None
     _cli_seed = None
     _cli_cache_enabled = None
     _default_fault_plan = None
     _cli_reduction = None
-    _cli_backend = None
     _cli_sync = None
     for name in _cli_traffic:
         _cli_traffic[name] = None
@@ -483,9 +427,9 @@ def reset() -> None:
 
 @contextmanager
 def overrides(*, jobs=_UNSET, seed=_UNSET, cache_enabled=_UNSET,
-              fault_plan=_UNSET, reduction=_UNSET, backend=_UNSET,
-              sync=_UNSET, duration=_UNSET, arrival_rate=_UNSET,
-              deadline=_UNSET, queue_limit=_UNSET):
+              fault_plan=_UNSET, reduction=_UNSET, sync=_UNSET,
+              duration=_UNSET, arrival_rate=_UNSET, deadline=_UNSET,
+              queue_limit=_UNSET):
     """Apply CLI-level settings for one block, restoring on exit.
 
     ``repro.api.run_experiment`` uses this so its keyword arguments
@@ -495,11 +439,11 @@ def overrides(*, jobs=_UNSET, seed=_UNSET, cache_enabled=_UNSET,
     installed by the CLI.
     """
     global _cli_jobs, _cli_seed, _cli_cache_enabled, _default_fault_plan
-    global _cli_reduction, _cli_backend, _cli_sync
+    global _cli_reduction, _cli_sync
     with _scoped_lock:
         saved = (_cli_jobs, _cli_seed, _cli_cache_enabled,
-                 _default_fault_plan, _cli_reduction, _cli_backend,
-                 _cli_sync, dict(_cli_traffic))
+                 _default_fault_plan, _cli_reduction, _cli_sync,
+                 dict(_cli_traffic))
         _scoped_stack.append(saved)
     try:
         with _scoped_lock:
@@ -513,8 +457,6 @@ def overrides(*, jobs=_UNSET, seed=_UNSET, cache_enabled=_UNSET,
                 set_default_fault_plan(fault_plan)
             if reduction is not _UNSET:
                 set_reduction(reduction)
-            if backend is not _UNSET:
-                set_backend(backend)
             if sync is not _UNSET:
                 set_sync(sync)
             if duration is not _UNSET:
@@ -529,8 +471,8 @@ def overrides(*, jobs=_UNSET, seed=_UNSET, cache_enabled=_UNSET,
     finally:
         with _scoped_lock:
             (_cli_jobs, _cli_seed, _cli_cache_enabled,
-             _default_fault_plan, _cli_reduction, _cli_backend,
-             _cli_sync, traffic_saved) = saved
+             _default_fault_plan, _cli_reduction, _cli_sync,
+             traffic_saved) = saved
             _cli_traffic.update(traffic_saved)
             _scoped_stack.pop()
 
@@ -552,7 +494,7 @@ def ambient_config() -> dict:
     with _scoped_lock:
         if _scoped_stack:
             (_jobs_cli, seed_cli, _cache_cli, plan, reduction_cli,
-             _backend_cli, sync_cli, traffic_cli) = _scoped_stack[0]
+             sync_cli, traffic_cli) = _scoped_stack[0]
         else:
             seed_cli, plan = _cli_seed, _default_fault_plan
             reduction_cli = _cli_reduction
@@ -597,11 +539,8 @@ class ResolvedConfig:
     fault_plan: str | None      # repr of the active default plan
     reduction: str = "none"
     reduction_source: str = "default"
-    backend: str = "local"
-    backend_source: str = "default"
     sync: str = "tas"
     sync_source: str = "default"
-    result_dir: str | None = None
     duration_us: float | None = None
     duration_source: str = "default"
     arrival_rate_per_ms: float | None = None
@@ -621,7 +560,6 @@ def resolved_config() -> ResolvedConfig:
     seed_value, seed_source = _resolve_seed()
     cache_on, cache_source = _resolve_cache()
     reduction_mode, reduction_source = _resolve_reduction()
-    backend_name, backend_source = _resolve_backend()
     sync_name, sync_source = _resolve_sync()
     duration_us, duration_source = _resolve_traffic_knob("duration")
     rate_per_ms, rate_source = _resolve_traffic_knob("arrival_rate")
@@ -635,9 +573,7 @@ def resolved_config() -> ResolvedConfig:
         cache_dir=cache_dir(),
         fault_plan=repr(plan) if plan is not None else None,
         reduction=reduction_mode, reduction_source=reduction_source,
-        backend=backend_name, backend_source=backend_source,
         sync=sync_name, sync_source=sync_source,
-        result_dir=result_dir(),
         duration_us=duration_us, duration_source=duration_source,
         arrival_rate_per_ms=rate_per_ms,
         arrival_rate_source=rate_source,

@@ -227,23 +227,6 @@ def get_experiment(experiment_id: str) -> Experiment:
             "(see `repro list --heavy`)") from None
 
 
-def run_experiment(experiment_id: str) -> Artifact:
-    """Run one experiment by id (e.g. ``"table-6.24"``).
-
-    .. deprecated::
-        Use :func:`repro.api.run_experiment`, which also handles
-        configuration overrides and tracing; this shim delegates there
-        and returns only the artifact.
-    """
-    import warnings
-    warnings.warn(
-        "repro.experiments.run_experiment is deprecated; use "
-        "repro.api.run_experiment(id).artifact instead",
-        DeprecationWarning, stacklevel=2)
-    from repro import api
-    return api.run_experiment(experiment_id).artifact
-
-
 def all_experiment_ids(include_heavy: bool = True) -> list[str]:
     return [e.experiment_id for e in REGISTRY.values()
             if include_heavy or not e.heavy]

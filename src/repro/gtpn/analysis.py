@@ -25,10 +25,8 @@ import numpy as np
 from repro import obs
 from repro.gtpn.markov import stationary_distribution
 from repro.gtpn.net import Net
-from repro.gtpn.reachability import (DEFAULT_MAX_STATES, ReachabilityGraph,
-                                     build_reachability_graph)
-from repro.perf.cache import (AnalysisCache, cache_enabled,
-                              fingerprint_net, get_cache)
+from repro.gtpn.reachability import DEFAULT_MAX_STATES, ReachabilityGraph
+from repro.perf.cache import Store, fingerprint_net, get_cache
 
 
 @dataclass
@@ -133,21 +131,21 @@ class AnalysisResult:
 
 def analyze(net: Net, *, method: str = "auto",
             max_states: int = DEFAULT_MAX_STATES,
-            cache: AnalysisCache | None = None,
+            cache: Store | None = None,
             reduction: str | None = None) -> AnalysisResult:
     """Build the reachability graph of *net* and solve it exactly.
 
-    Solves are memoized through the content-addressed analysis cache
-    (:mod:`repro.perf.cache`) under the split ``(structure, timing,
-    method, reduction)`` key: a full hit returns the stored graph and
-    stationary vector re-bound to *net*, skipping both state-space
-    exploration and the Markov solve, while a structure-only hit
-    re-times the cached reachability skeleton (:mod:`repro.gtpn.sweep`)
-    and re-solves just the linear system — bit-identical to a
-    from-scratch build.  Pass ``cache`` to use a private store; the
-    global cache honours ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE`` and
-    the CLI flags.  Cached payloads are shared — treat results as
-    read-only.
+    Solves are memoized in the analysis namespace of the
+    content-addressed store (:mod:`repro.perf.cache`) under the split
+    ``(structure, timing, method, reduction)`` key: a full hit returns
+    the stored graph and stationary vector re-bound to *net*, skipping
+    both state-space exploration and the Markov solve, while a
+    structure-only hit re-times the cached reachability skeleton
+    (:mod:`repro.gtpn.sweep`) and re-solves just the linear system —
+    bit-identical to a from-scratch build.  Pass ``cache`` to use a
+    private store; either store honours ``--no-cache`` /
+    ``REPRO_NO_CACHE`` itself, and the global one ``REPRO_CACHE_DIR``.
+    Cached payloads are shared — treat results as read-only.
 
     ``reduction`` selects opt-in state-space reduction (``"lump"``,
     ``"elim"``, ``"lump+elim"``); ``None`` resolves the configured mode
@@ -159,39 +157,28 @@ def analyze(net: Net, *, method: str = "auto",
     else:
         reduction = config.normalize_reduction(reduction)
     with obs.span("gtpn.analyze", net=net.name, method=method) as root:
-        store = cache if cache is not None else (
-            get_cache() if cache_enabled() else None)
-        key = None
-        closed = None
-        if store is not None:
-            fingerprint = fingerprint_net(net)
-            key = (fingerprint.structure, fingerprint.timing, method,
-                   reduction)
-            payload = store.get(key)
-            if payload is not None:
-                net.validate()      # keep error behaviour of a solve
-                root.set(outcome="cache-hit")
-                return _rebind(net, payload)
-        if key is not None:
-            # share the reachability build across every net with this
-            # structure (sweeps re-time the cached skeleton; a timing
-            # change that alters branch resolution rebuilds)
-            from repro.gtpn.sweep import acquire_graph
-            with obs.span("gtpn.build"):
-                graph, closed = acquire_graph(net, fingerprint.structure,
-                                              max_states, store,
-                                              reduction=reduction)
-        else:
-            with obs.span("gtpn.build"):
-                graph = build_reachability_graph(net,
-                                                 max_states=max_states,
-                                                 reduction=reduction)
+        store = cache if cache is not None else get_cache()
+        fingerprint = fingerprint_net(net)
+        key = (fingerprint.structure, fingerprint.timing, method,
+               reduction)
+        payload = store.get(key)
+        if payload is not None:
+            net.validate()          # keep error behaviour of a solve
+            root.set(outcome="cache-hit")
+            return _rebind(net, payload)
+        # share the reachability build across every net with this
+        # structure (sweeps re-time the cached skeleton; a timing
+        # change that alters branch resolution rebuilds)
+        from repro.gtpn.sweep import acquire_graph
+        with obs.span("gtpn.build"):
+            graph, closed = acquire_graph(net, fingerprint.structure,
+                                          max_states, store,
+                                          reduction=reduction)
         with obs.span("gtpn.solve", states=graph.state_count):
             pi = stationary_distribution(graph, method=method,
                                          closed_classes=closed)
         result = AnalysisResult(net=net, graph=graph, pi=pi)
-        if key is not None:
-            store.put(key, _payload(result))
+        store.put(key, _payload(result))
         root.set(outcome="solved", states=graph.state_count)
         return result
 

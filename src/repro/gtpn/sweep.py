@@ -32,7 +32,7 @@ Entry points:
 * :class:`SweepSolver` — the underlying per-structure solver, with
   per-stage timing stats (build / re-time / solve) for the benchmarks.
 * :func:`acquire_graph` — used by :func:`repro.gtpn.analyze` so even
-  single-point analyses share skeletons through the analysis cache.
+  single-point analyses share skeletons through the store.
 """
 
 from __future__ import annotations
@@ -46,14 +46,14 @@ from repro.gtpn.packed import (SkeletonMismatch, packed_build,
                                packed_retime)
 from repro.gtpn.reachability import DEFAULT_MAX_STATES, ReachabilityGraph
 from repro.obs.clock import perf_now
-from repro.perf.cache import cache_enabled, fingerprint_net, get_cache
+from repro.perf.cache import fingerprint_net, get_cache
 
 __all__ = [
     "SkeletonMismatch", "SweepSolver", "SweepStats", "acquire_graph",
     "sweep_analyze",
 ]
 
-_USE_GLOBAL = object()      # sentinel: "global cache when enabled"
+_USE_GLOBAL = object()      # sentinel: "the process-wide store"
 
 
 def acquire_graph(net: Net, structure: str, max_states: int, store,
@@ -104,9 +104,9 @@ class SweepSolver:
     """Analyze a stream of nets, sharing structure work across them.
 
     Keeps its own skeleton table (so structure sharing works even with
-    the global cache disabled — a cold sweep is still one build plus
-    N-1 replays) and optionally rides an :class:`AnalysisCache` for
-    payload hits and cross-process skeleton sharing.  Results are
+    the store disabled — a cold sweep is still one build plus N-1
+    replays) and optionally rides a :class:`~repro.perf.cache.Store`
+    for payload hits and cross-process skeleton sharing.  Results are
     bit-identical to per-point :func:`repro.gtpn.analyze`.
     """
 
@@ -121,9 +121,7 @@ class SweepSolver:
         self.max_states = max_states
         self.reduction = config.reduction() if reduction is None \
             else config.normalize_reduction(reduction)
-        if cache is _USE_GLOBAL:
-            cache = get_cache() if cache_enabled() else None
-        self.cache = cache
+        self.cache = get_cache() if cache is _USE_GLOBAL else cache
         #: structure fingerprint -> packed skeleton (one reduction
         #: mode per solver)
         self._skeletons: dict[str, Any] = {}
@@ -237,7 +235,7 @@ def sweep_analyze(build, grid: Iterable | None = None, *,
 
     Pass ``solver`` to reuse a :class:`SweepSolver` (and read its
     per-stage stats afterwards); otherwise one is created with
-    ``cache`` (default: the global analysis cache when enabled).
+    ``cache`` (default: the process-wide store; ``None`` for none).
     """
     if solver is None:
         solver = SweepSolver(method=method, max_states=max_states,

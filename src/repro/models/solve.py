@@ -9,7 +9,6 @@ exactly the quantity plotted in Figures 6.17-6.23.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from repro.errors import ModelError
 from repro.gtpn import analyze
@@ -18,6 +17,7 @@ from repro.models.local import build_local_net
 from repro.models.params import (OFFERED_LOAD_SERVER_TIMES_MS,
                                  Architecture, Mode)
 from repro.perf.backends import map_sweep
+from repro.perf.cache import get_cache
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,13 @@ def solve(architecture: Architecture, mode: Mode, conversations: int,
         raise ModelError("compute time must be non-negative")
     from repro import config
     sync = _resolve_sync(architecture, sync)
-    key = (architecture, mode, conversations, float(compute_time), sync,
-           config.reduction())
-    throughput = _solve_cached(*key) if config.cache_enabled() \
-        else _solve_point(*key)
+    key = ("solve", architecture, mode, conversations,
+           float(compute_time), sync, config.reduction())
+    store = get_cache()
+    throughput = store.get(key)
+    if throughput is None:
+        throughput = _solve_point(*key[1:])
+        store.put(key, throughput)
     return ThroughputResult(architecture=architecture, mode=mode,
                             conversations=conversations,
                             compute_time=compute_time,
@@ -87,7 +90,7 @@ def _solve_point(architecture: Architecture, mode: Mode,
 
     *reduction* is the resolved ``config.reduction()``, which the
     non-local fixed point's solvers also resolve; it is an argument so
-    that it is part of the :func:`_solve_cached` key.
+    that it is part of the store's ``solve`` key.
     """
     if mode is Mode.LOCAL:
         params = None
@@ -106,11 +109,6 @@ def _solve_point(architecture: Architecture, mode: Mode,
         architecture, conversations, compute_time,
         client_params=client_params, server_params=server_params)
     return solution.throughput
-
-
-#: in-process memo of :func:`_solve_point`, bypassed when the analysis
-#: cache is disabled so ``--no-cache`` re-solves every point
-_solve_cached = lru_cache(maxsize=4096)(_solve_point)
 
 
 @dataclass(frozen=True)

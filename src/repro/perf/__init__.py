@@ -1,42 +1,38 @@
-"""Performance layer: pluggable sweep executors and analysis caching.
+"""Performance layer: the sweep executor and the content-addressed store.
 
 The chapter-6 evaluation is grid-shaped — conversations x offered
 loads x architectures, each point an independent exact GTPN solve — so
 the two scalable-offload levers are
 
 * :func:`map_sweep` (:mod:`repro.perf.backends`) — fan independent
-  grid points out over a configurable executor backend (``serial`` /
-  ``local`` persistent pool / ``sharded`` work stealing, selected by
-  ``--backend`` / ``REPRO_BACKEND``), with ordered results and a
-  graceful serial fallback, and
-* :class:`AnalysisCache` (:mod:`repro.perf.cache`) — content-addressed
-  memoization of exact solves keyed by a canonical net fingerprint, so
-  structurally identical nets across figures and benchmarks solve
-  once (opt-in on-disk persistence via ``REPRO_CACHE_DIR``).
+  grid points out over the persistent local process pool (``--jobs``
+  / ``REPRO_JOBS``; one job runs in-process), with ordered results and
+  a graceful serial fallback, and
+* :class:`Store` (:mod:`repro.perf.cache`) — the one content-addressed
+  store of analyses, solves and experiment results: per-namespace
+  LRUs over one optional disk tier (``REPRO_CACHE_DIR``), behind one
+  kill switch (``--no-cache`` / ``REPRO_NO_CACHE``).
 
 Both are policy-free utilities: they know nothing about GTPN
 internals beyond the duck-typed net attributes the fingerprint reads.
-The historical import path :mod:`repro.perf.pool` still works but
-warns with :class:`DeprecationWarning`.
 """
 
 from repro.perf.backends import (ExecutorBackend, MapInfo,
-                                 default_jobs, get_backend,
-                                 last_map_info, map_sweep, plan_jobs,
-                                 set_default_jobs, shutdown_pool)
-from repro.perf.cache import (AnalysisCache, cache_enabled,
-                              configure_cache, fingerprint_net,
-                              get_cache, set_cache_enabled)
+                                 default_jobs, last_map_info, map_sweep,
+                                 plan_jobs, set_default_jobs,
+                                 shutdown_pool)
+from repro.perf.cache import (Store, cache_enabled, configure_cache,
+                              fingerprint_net, get_cache,
+                              set_cache_enabled)
 
 __all__ = [
-    "AnalysisCache",
     "ExecutorBackend",
     "MapInfo",
+    "Store",
     "cache_enabled",
     "configure_cache",
     "default_jobs",
     "fingerprint_net",
-    "get_backend",
     "get_cache",
     "last_map_info",
     "map_sweep",

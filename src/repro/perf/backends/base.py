@@ -1,13 +1,11 @@
 """The frozen executor-backend protocol behind every sweep.
 
-:class:`ExecutorBackend` is the seam that makes the executor choice
-configuration instead of code: :func:`repro.perf.backends.map_sweep`
-plans a sweep (:func:`plan_jobs`), then hands the parallel portion to
-whichever backend the run selected (``--backend`` /
-``REPRO_BACKEND``).  The protocol is deliberately tiny and **frozen**
-— exactly three methods, pinned by ``tests/perf/test_backends.py`` —
-so backends can be added (remote workers, a cluster scheduler) without
-touching a single sweep call site:
+:class:`ExecutorBackend` is the seam between
+:func:`repro.perf.backends.map_sweep`, which plans a sweep
+(:func:`plan_jobs`), and the executor that runs it: the serial
+in-process backend or the local process pool.  The protocol is
+deliberately tiny and **frozen** — exactly three methods, pinned by
+``tests/perf/test_backends.py``:
 
 ``submit_map(fn, work, *, n_jobs, star, chunksize)``
     Execute *fn* over the already-planned *work* items on *n_jobs*
@@ -25,14 +23,11 @@ touching a single sweep call site:
     the interpreter.
 
 ``describe()``
-    One human-readable line for report notes and ``repro serve
-    --stats``.
+    One human-readable line for report notes.
 
 :class:`MapInfo` (how the most recent sweep actually executed) and
 :func:`plan_jobs` (the serial-fallback policy) live here too because
-every backend shares them; the historical import path
-``repro.perf.pool`` re-exports everything with a
-:class:`DeprecationWarning`.
+both backends share them.
 """
 
 from __future__ import annotations
@@ -50,9 +45,7 @@ from repro import config
 MIN_ITEMS_PER_JOB = 4
 
 #: Auto chunking aims for this many chunks per worker: big enough to
-#: amortise per-task pickling, small enough to keep workers balanced
-#: (and, for the sharded backend, small enough that stealing has
-#: something to steal).
+#: amortise per-task pickling, small enough to keep workers balanced.
 CHUNK_WAVES = 4
 
 _validate_jobs = config.validate_jobs
@@ -138,7 +131,7 @@ def plan_jobs(n_items: int, jobs: int | None = None, *,
 class ExecutorBackend(abc.ABC):
     """Frozen three-method protocol every sweep executor implements."""
 
-    #: Config spelling of this backend (``--backend <name>``).
+    #: Name recorded in :attr:`MapInfo.backend`.
     name: str = "abstract"
 
     @abc.abstractmethod
@@ -153,4 +146,4 @@ class ExecutorBackend(abc.ABC):
 
     @abc.abstractmethod
     def describe(self) -> str:
-        """One line for report notes and service stats."""
+        """One line for report notes."""

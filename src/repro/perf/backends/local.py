@@ -1,7 +1,6 @@
-"""The persistent local process pool, now one backend among several.
+"""The persistent local process pool: the backend of every fan-out.
 
-:class:`LocalPoolBackend` is the executor PR 1/PR 3 grew inline in
-``perf/pool.py``: one persistent
+:class:`LocalPoolBackend` keeps one persistent
 :class:`~concurrent.futures.ProcessPoolExecutor` per (worker count,
 cache configuration, trace spill directory), reused across sweeps so
 later grids skip process start-up entirely.  Its initializer primes
@@ -105,8 +104,7 @@ def _worker_init(cache_on: bool, cache_dir: str | None,
 class PersistentPool:
     """One keyed, reaped, atexit-registered ProcessPoolExecutor.
 
-    Shared infrastructure for every process-backed backend: the pool
-    is created on first use, keyed on (worker count, cache
+    The pool is created on first use, keyed on (worker count, cache
     configuration, spill directory) and rebuilt when the key changes,
     and torn down exactly once — by :meth:`shutdown` (tests, the
     orchestrator's broken-pool reap) or the ``atexit`` hook registered

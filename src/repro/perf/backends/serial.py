@@ -1,10 +1,8 @@
 """The in-process executor: every sweep point runs in the caller.
 
-:class:`SerialBackend` is both a selectable backend (``--backend
-serial`` forces every sweep in-process, useful for debugging and
-deterministic profiling) and the degradation target every other
-backend falls back to: the orchestrator routes a sweep here whenever
-the planner declines to fan out or a process backend fails, so callers
+:class:`SerialBackend` runs every one-worker sweep and is the
+degradation target of the pool: the orchestrator routes a sweep here
+whenever the planner declines to fan out or the pool fails, so callers
 never need to special-case degraded environments.
 
 When a recorder is installed each work item runs under a ``pool.task``

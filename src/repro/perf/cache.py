@@ -1,4 +1,17 @@
-"""Content-addressed cache for exact GTPN analyses.
+"""The content-addressed store: one memo for analyses, solves and results.
+
+Every value the toolkit memoizes lives in one :class:`Store`, under one
+of three key namespaces:
+
+* ``analysis`` — exact GTPN analysis payloads, keyed ``(structure,
+  timing, method, reduction)`` on a net's split fingerprint (below),
+  and the reusable reachability skeletons (:mod:`repro.gtpn.sweep`),
+  keyed ``("skeleton", structure, kind)``;
+* ``solve`` — one operating point's throughput
+  (:func:`repro.models.solve.solve`), keyed ``("solve", architecture,
+  mode, conversations, compute_time, sync, reduction)``;
+* ``result`` — one whole experiment result of the service
+  (:mod:`repro.service`), keyed ``("result", JobKey.digest)``.
 
 A net is fingerprinted by a *split key* (:class:`NetFingerprint`):
 
@@ -12,17 +25,18 @@ A net is fingerprinted by a *split key* (:class:`NetFingerprint`):
 
 Names (of the net, its places, and its transitions) stay out of both
 halves: two structurally identical nets share one solve, and the
-cached payload is re-bound to whichever net asked.  The analyzer keys
-full payloads on ``(structure, timing, method)`` and the reusable
-reachability skeleton (:mod:`repro.gtpn.sweep`) on the structure half
-alone, which is what lets a parameter grid rebuild the graph once.
+cached payload is re-bound to whichever net asked.
 
-The cache is in-memory (bounded LRU) by default.  Setting the
-``REPRO_CACHE_DIR`` environment variable — or passing ``directory`` to
-:class:`AnalysisCache` — adds an on-disk pickle store so repeated
-benchmark processes share solves.  ``REPRO_NO_CACHE=1`` or
-:func:`set_cache_enabled` turns the layer off globally (the CLI's
-``--no-cache``).
+Each namespace is a bounded in-memory LRU (:data:`DEFAULT_LIMITS`).
+``REPRO_CACHE_DIR`` — or ``directory`` — adds one pickle-per-entry
+disk tier behind all three, so processes share solves and results.
+Writes are atomic (temp file + :func:`os.replace`); a failed write is
+counted (``cache.write_failure``) and the entry stays memory-only; an
+unreadable entry is deleted, counted (``cache.unreadable``) and read
+as a miss.  One kill switch covers every namespace: the store tests
+:func:`repro.config.cache_enabled` (``--no-cache`` /
+``REPRO_NO_CACHE=1``) on every ``get`` and ``put``, so a disabled
+store neither answers nor remembers.
 """
 
 from __future__ import annotations
@@ -30,20 +44,41 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
+import tempfile
 import threading
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from pathlib import Path
 from typing import Any, NamedTuple
 
 from repro import config, obs
 
-#: Default bound on in-memory cached analyses (each holds a full
-#: reachability graph; architecture models run a few MB apiece).
-DEFAULT_MAX_ENTRIES = 256
+#: In-memory LRU bound per namespace.  An analysis entry holds a full
+#: reachability graph (a few MB for the architecture models), a solve
+#: entry one float, a result entry one experiment's artifact.  The
+#: namespaces are bounded apart so a grid that runs the analysis LRU
+#: full never evicts the solve memo its fixed point re-reads.
+DEFAULT_LIMITS = {"analysis": 256, "solve": 4096, "result": 128}
+
+#: ``obs`` counters of each namespace's lookups.  Analysis lookups keep
+#: the historical ``cache.hit``/``cache.miss`` names.
+_COUNTERS = {"analysis": ("cache.hit", "cache.miss"),
+             "solve": ("cache.solve_hit", "cache.solve_miss"),
+             "result": ("cache.result_hit", "cache.result_miss")}
+
+#: What reading a disk entry raises when the entry cannot be used: a
+#: torn or garbled pickle, or one naming a class this code no longer
+#: has (an old ``REPRO_CACHE_DIR`` outlives the classes it pickled).
+#: Anything else is a defect and propagates.
+_UNREADABLE = (OSError, EOFError, ValueError, pickle.UnpicklingError,
+               AttributeError, ImportError)
+
+#: What writing a disk entry raises when the value cannot be spilled:
+#: a full or read-only disk, or a value that does not pickle.
+_UNWRITABLE = (OSError, pickle.PicklingError, TypeError, AttributeError)
 
 
 def set_cache_enabled(enabled: bool) -> None:
-    """Globally enable/disable analysis caching (CLI ``--no-cache``)."""
+    """Globally enable/disable the store (CLI ``--no-cache``)."""
     config.set_cache_enabled(enabled)
 
 
@@ -101,78 +136,86 @@ def fingerprint_net(net) -> NetFingerprint:
 
 
 # ----------------------------------------------------------------------
-# the cache proper
+# the store
 # ----------------------------------------------------------------------
 
-class AnalysisCache:
-    """Thread-safe LRU of analysis payloads, with optional disk tier.
+def _namespace(key: Any) -> str:
+    """The namespace a key belongs to: its tag, else ``analysis``."""
+    head = key[0] if isinstance(key, tuple) and key else None
+    return head if head in ("solve", "result") else "analysis"
 
-    Keys are opaque hashables (the analyzer uses ``(fingerprint,
-    method)``); payloads are opaque picklable objects.  ``directory``
-    (or ``REPRO_CACHE_DIR`` for the global cache) enables the on-disk
-    tier; unreadable or corrupt disk entries are treated as misses.
+
+class Store:
+    """Thread-safe per-namespace LRUs over one optional disk tier.
+
+    Keys are hashable tuples (see the module docstring for the three
+    shapes); values are opaque picklable objects, never ``None``.
+    ``limits`` overrides entries of :data:`DEFAULT_LIMITS`.
     """
 
     def __init__(self, directory: str | os.PathLike | None = None,
-                 max_entries: int = DEFAULT_MAX_ENTRIES):
-        self._mem: OrderedDict[Any, Any] = OrderedDict()
-        self._max_entries = max_entries
+                 limits: dict[str, int] | None = None):
+        self._limits = {**DEFAULT_LIMITS, **(limits or {})}
+        self._mem: dict[str, OrderedDict] = {
+            namespace: OrderedDict() for namespace in self._limits}
         self._dir = Path(directory) if directory else None
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
+        self.hits: Counter = Counter()
+        self.misses: Counter = Counter()
+        self.write_failures = 0
+        self.unreadable = 0
 
     def __len__(self) -> int:
-        return len(self._mem)
+        return sum(len(mem) for mem in self._mem.values())
+
+    def entries(self, namespace: str) -> int:
+        """In-memory entries of one namespace."""
+        return len(self._mem[namespace])
 
     def clear(self) -> None:
+        """Drop every in-memory entry and zero the counters; the disk
+        tier, shared with other processes, is left alone."""
         with self._lock:
-            self._mem.clear()
-            self.hits = 0
-            self.misses = 0
-
-    def _disk_path(self, key: Any) -> Path | None:
-        if self._dir is None:
-            return None
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
-        return self._dir / f"analysis-{digest}.pkl"
+            for mem in self._mem.values():
+                mem.clear()
+            self.hits.clear()
+            self.misses.clear()
+            self.write_failures = 0
+            self.unreadable = 0
 
     def get(self, key: Any, *, record_stats: bool = True):
-        """The cached payload for *key*, or ``None`` on a miss."""
+        """The stored value for *key*, or ``None`` on a miss (and
+        always ``None`` while the cache is disabled)."""
+        if not config.cache_enabled():
+            return None
+        namespace = _namespace(key)
+        mem = self._mem[namespace]
         with self._lock:
-            if key in self._mem:
-                self._mem.move_to_end(key)
-                if record_stats:
-                    self.hits += 1
-                    obs.add("cache.hit")
-                return self._mem[key]
-        path = self._disk_path(key)
-        if path is not None:
-            try:
-                with open(path, "rb") as fh:
-                    payload = pickle.load(fh)
-            except (OSError, pickle.UnpicklingError, EOFError,
-                    AttributeError, ImportError, IndexError,
-                    ValueError, TypeError, KeyError):
-                # corrupted/truncated entries are a miss, never an error
-                payload = None
-            if payload is not None:
+            value = mem.get(key)
+            if value is not None:
+                mem.move_to_end(key)
+        if value is None:
+            value = self._read_disk(key, namespace)
+            if value is not None:
                 with self._lock:
-                    if record_stats:
-                        self.hits += 1
-                        obs.add("cache.hit")
-                    self._store_mem(key, payload)
-                return payload
+                    self._remember(namespace, key, value)
         if record_stats:
+            hit, miss = _COUNTERS[namespace]
             with self._lock:
-                self.misses += 1
-                obs.add("cache.miss")
-        return None
+                (self.hits if value is not None else
+                 self.misses)[namespace] += 1
+            obs.add(hit if value is not None else miss)
+        return value
 
-    def put(self, key: Any, payload: Any) -> None:
+    def put(self, key: Any, value: Any) -> None:
+        """Remember *value* in memory and on disk (if configured);
+        a no-op while the cache is disabled."""
+        if not config.cache_enabled():
+            return
+        namespace = _namespace(key)
         with self._lock:
-            self._store_mem(key, payload)
-        self._write_disk(key, payload)
+            self._remember(namespace, key, value)
+        self._write_disk(key, namespace, value)
 
     def get_structure(self, structure_fp: str, kind: str):
         """Cached sweep skeleton for a structure fingerprint, if any.
@@ -180,9 +223,9 @@ class AnalysisCache:
         ``kind`` separates skeleton families sharing one structure:
         ``"packed:<reduction>"``, one per reduction mode.
 
-        Skeleton lookups ride the same LRU/disk tiers as payloads but
-        stay out of ``hits``/``misses`` — those stats count *solves
-        avoided*, and a skeleton hit still re-times and re-solves.
+        Skeleton lookups ride the analysis namespace but stay out of
+        its hit/miss counts — those count *solves avoided*, and a
+        skeleton hit still re-times and re-solves.
         """
         return self.get(("skeleton", structure_fp, kind),
                         record_stats=False)
@@ -200,53 +243,95 @@ class AnalysisCache:
         """
         with self._lock:
             self._dir = Path(directory)
-            entries = list(self._mem.items())
-        for key, payload in entries:
-            self._write_disk(key, payload)
+            entries = [(namespace, key, value)
+                       for namespace, mem in self._mem.items()
+                       for key, value in mem.items()]
+        for namespace, key, value in entries:
+            self._write_disk(key, namespace, value)
 
     @property
     def directory(self) -> Path | None:
         return self._dir
 
-    def _write_disk(self, key: Any, payload: Any) -> None:
-        path = self._disk_path(key)
-        if path is not None:
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                tmp = path.with_suffix(f".tmp-{os.getpid()}")
-                with open(tmp, "wb") as fh:
-                    pickle.dump(payload, fh,
-                                protocol=pickle.HIGHEST_PROTOCOL)
-                os.replace(tmp, path)     # atomic for concurrent writers
-            except (OSError, pickle.PicklingError, TypeError):
-                pass                      # disk tier is best-effort
+    def stats(self) -> dict:
+        """Entries and counters per namespace, for ``repro serve
+        --stats``."""
+        with self._lock:
+            return {"directory": str(self._dir) if self._dir else None,
+                    "entries": {namespace: len(mem) for namespace, mem
+                                in self._mem.items()},
+                    "hits": dict(self.hits),
+                    "misses": dict(self.misses),
+                    "write_failures": self.write_failures,
+                    "unreadable": self.unreadable}
 
-    def _store_mem(self, key: Any, payload: Any) -> None:
-        self._mem[key] = payload
-        self._mem.move_to_end(key)
-        while len(self._mem) > self._max_entries:
-            self._mem.popitem(last=False)
+    def _disk_path(self, key: Any, namespace: str) -> Path | None:
+        if self._dir is None:
+            return None
+        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+        return self._dir / f"{namespace}-{digest}.pkl"
+
+    def _read_disk(self, key: Any, namespace: str):
+        path = self._disk_path(key, namespace)
+        if path is None:
+            return None
+        try:
+            with open(path, "rb") as fh:
+                return pickle.load(fh)
+        except FileNotFoundError:
+            return None
+        except _UNREADABLE:
+            path.unlink(missing_ok=True)
+            with self._lock:
+                self.unreadable += 1
+            obs.add("cache.unreadable")
+            return None
+
+    def _write_disk(self, key: Any, namespace: str, value: Any) -> None:
+        path = self._disk_path(key, namespace)
+        if path is None:
+            return
+        tmp = None
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent,
+                                       prefix=f".{path.name}-")
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(value, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)     # atomic for concurrent writers
+        except _UNWRITABLE:
+            if tmp is not None:
+                Path(tmp).unlink(missing_ok=True)
+            with self._lock:
+                self.write_failures += 1
+            obs.add("cache.write_failure")
+
+    def _remember(self, namespace: str, key: Any, value: Any) -> None:
+        mem = self._mem[namespace]
+        mem[key] = value
+        mem.move_to_end(key)
+        while len(mem) > self._limits[namespace]:
+            mem.popitem(last=False)
 
 
-_global_cache: AnalysisCache | None = None
+_global_cache: Store | None = None
 _global_lock = threading.Lock()
 
 
-def get_cache() -> AnalysisCache:
-    """The process-wide analysis cache (created on first use)."""
+def get_cache() -> Store:
+    """The process-wide store (created on first use)."""
     global _global_cache
     with _global_lock:
         if _global_cache is None:
-            _global_cache = AnalysisCache(directory=config.cache_dir())
+            _global_cache = Store(directory=config.cache_dir())
         return _global_cache
 
 
 def configure_cache(directory: str | os.PathLike | None = None,
-                    max_entries: int = DEFAULT_MAX_ENTRIES,
-                    ) -> AnalysisCache:
-    """Replace the process-wide cache (tests, CLI) and return it."""
+                    limits: dict[str, int] | None = None) -> Store:
+    """Replace the process-wide store (tests, pool workers) and
+    return it."""
     global _global_cache
     with _global_lock:
-        _global_cache = AnalysisCache(directory=directory,
-                                      max_entries=max_entries)
+        _global_cache = Store(directory=directory, limits=limits)
         return _global_cache

@@ -15,17 +15,19 @@ evaluation pipeline.
 
 Pieces (one module each):
 
-* :class:`ExperimentService` (:mod:`repro.service.queue`) — the job
-  queue, worker threads, admission policies (``drop`` / ``reject`` /
-  ``backpressure`` + per-tenant quotas), request coalescing, and the
-  stats snapshot behind ``repro serve --stats``.
+* :class:`ExperimentService` (:mod:`repro.service.queue`) — the
+  bounded job queue with backpressure, worker threads, request
+  coalescing, the inline lane, and the stats snapshot behind ``repro
+  serve --stats``.
 * :class:`~repro.service.jobs.JobKey` / :class:`~repro.service.jobs.\
 JobHandle` (:mod:`repro.service.jobs`) — content-addressed job
   identity (structure × timing, the analysis cache's split) and the
   caller's view of an execution.
-* :class:`~repro.service.store.ResultStore`
-  (:mod:`repro.service.store`) — the memory+disk result tier
-  (``REPRO_RESULT_DIR`` makes it survive restarts).
+
+Results are memoized in the ``result`` namespace of the one
+process-wide store (:func:`repro.perf.cache.get_cache`), which
+``REPRO_CACHE_DIR`` makes survive restarts and ``--no-cache`` turns
+off.
 
 :func:`default_service` is the process-wide instance
 :func:`repro.api.run_experiment` and :func:`repro.api.\
@@ -39,8 +41,7 @@ import threading
 
 from repro.service.jobs import (JobEvent, JobHandle, JobKey, JobStatus,
                                 build_job_key)
-from repro.service.queue import VALID_POLICIES, ExperimentService
-from repro.service.store import ResultStore
+from repro.service.queue import ExperimentService
 
 __all__ = [
     "ExperimentService",
@@ -48,8 +49,6 @@ __all__ = [
     "JobHandle",
     "JobKey",
     "JobStatus",
-    "ResultStore",
-    "VALID_POLICIES",
     "build_job_key",
     "default_service",
     "reset_default_service",

@@ -7,14 +7,15 @@ trusts:
   timing** exactly like the analysis cache's
   :class:`~repro.perf.cache.NetFingerprint`: the *structure* half
   names what system is being evaluated (experiment id, reduction mode,
-  fault plan, queue limit), the *timing* half names the stochastic and
-  load parameters (seed, duration, arrival rate, deadline).  Two
-  submissions with equal keys are the same computation — the basis for
-  request coalescing and the content-addressed result store.
-  Execution-only knobs (``jobs``, ``cache``, ``backend``, ``trace``)
-  are deliberately **excluded**: they change wall-clock time and
-  scheduling, never values (the bit-identity contract the backends
-  suite pins), so they must not fragment the address space.
+  sync primitive, fault plan, queue limit), the *timing* half names
+  the stochastic and load parameters (seed, duration, arrival rate,
+  deadline).  Two submissions with equal keys are the same computation
+  — the basis for request coalescing and for the store's ``result``
+  namespace (:mod:`repro.perf.cache`).  Execution-only knobs
+  (``jobs``, ``cache``, ``trace``) are deliberately **excluded**: they
+  change wall-clock time and scheduling, never values (the
+  bit-identity contract the backends suite pins), so they must not
+  fragment the address space.
 
 * :class:`JobHandle` — one submission's view of a (possibly shared)
   execution: ``poll()`` for the current :class:`JobStatus`,
@@ -34,23 +35,21 @@ from enum import Enum
 from typing import Iterator
 
 from repro import config
-from repro.errors import AdmissionError, ServiceError
+from repro.errors import ServiceError
 from repro.obs.clock import perf_now
 
 
 class JobStatus(Enum):
-    """Lifecycle of one submission, in order; three terminal states."""
+    """Lifecycle of one submission, in order; two terminal states."""
 
     QUEUED = "queued"
     RUNNING = "running"
     DONE = "done"
     FAILED = "failed"
-    DROPPED = "dropped"
 
     @property
     def terminal(self) -> bool:
-        return self in (JobStatus.DONE, JobStatus.FAILED,
-                        JobStatus.DROPPED)
+        return self in (JobStatus.DONE, JobStatus.FAILED)
 
 
 _MISSING = object()
@@ -71,7 +70,7 @@ class JobKey:
     say *which half* differed between two near-miss submissions.
     """
 
-    structure: tuple                # (experiment_id, reduction, plan, …)
+    structure: tuple                # (experiment_id, reduction, sync, …)
     timing: tuple                   # (seed, duration, rate, deadline)
 
     @property
@@ -113,7 +112,8 @@ def build_job_key(experiment_id: str, run_kwargs: dict) -> JobKey:
     whatever job happens to be running — so a submission keyed while
     another job executes can never absorb that job's parameters into
     its identity (which would alias two different computations onto
-    one store/coalesce address).
+    one store/coalesce address).  Every knob that can change a value
+    is keyed; the sync primitive re-costs architecture II, so it is.
     """
     ambient = config.ambient_config()
 
@@ -127,6 +127,7 @@ def build_job_key(experiment_id: str, run_kwargs: dict) -> JobKey:
         plan = ambient["fault_plan"]
     structure = (experiment_id,
                  pick("reduction", str),
+                 pick("sync", str),
                  repr(plan) if plan is not None else None,
                  pick("queue_limit", int))
     timing = (pick("seed", int),
@@ -139,7 +140,7 @@ def build_job_key(experiment_id: str, run_kwargs: dict) -> JobKey:
 @dataclass(frozen=True)
 class JobEvent:
     """One timestamped lifecycle event (``submitted``, ``started``,
-    ``coalesced``, ``store-hit``, ``done``, ``failed``, ``dropped``)."""
+    ``coalesced``, ``store-hit``, ``done``, ``failed``)."""
 
     ts: float                       # perf_now() at emission
     kind: str
@@ -161,6 +162,8 @@ class _Execution:
         self.run_kwargs = run_kwargs
         self.trace = trace
         self.status = JobStatus.QUEUED
+        #: True when the result came from the store, not a run
+        self.store_hit = False
         self.result = None
         self.error: BaseException | None = None
         self.events: list[JobEvent] = []
@@ -186,15 +189,12 @@ class _Execution:
 class JobHandle:
     """One submission's view of its (possibly coalesced) execution."""
 
-    def __init__(self, job_id: str, execution: _Execution, tenant: str,
-                 *, coalesced: bool = False, store_hit: bool = False):
+    def __init__(self, job_id: str, execution: _Execution, *,
+                 coalesced: bool = False):
         self.job_id = job_id
-        self.tenant = tenant
         #: True when this submission attached to an in-flight
         #: execution of the same :class:`JobKey` instead of enqueueing.
         self.coalesced = coalesced
-        #: True when the result came straight from the result store.
-        self.store_hit = store_hit
         self._execution = execution
 
     @property
@@ -204,6 +204,11 @@ class JobHandle:
     @property
     def key(self) -> JobKey | None:
         return self._execution.key
+
+    @property
+    def store_hit(self) -> bool:
+        """True when the execution was answered from the store."""
+        return self._execution.store_hit
 
     def poll(self) -> JobStatus:
         """The job's current status, without blocking."""
@@ -216,9 +221,7 @@ class JobHandle:
         """Block for the :class:`~repro.api.ExperimentResult`.
 
         Re-raises the run's exception if it failed; raises
-        :class:`~repro.errors.AdmissionError` if the drop policy shed
-        this job; raises :class:`~repro.errors.ServiceError` on
-        timeout.
+        :class:`~repro.errors.ServiceError` on timeout.
         """
         execution = self._execution
         with execution.cond:
@@ -227,11 +230,6 @@ class JobHandle:
                 raise ServiceError(
                     f"job {self.job_id} ({execution.experiment_id}) "
                     f"still {execution.status.value} after {timeout}s")
-            if execution.status is JobStatus.DROPPED:
-                raise AdmissionError(
-                    f"job {self.job_id} ({execution.experiment_id}) "
-                    "was shed by the drop admission policy",
-                    policy="drop", tenant=self.tenant)
             if execution.status is JobStatus.FAILED:
                 raise execution.error
             return execution.result

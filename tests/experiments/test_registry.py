@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import api
 from repro.errors import ReproError
 from repro.experiments import (Figure, REGISTRY, Series, Table,
-                               all_experiment_ids, get_experiment,
-                               run_experiment)
+                               all_experiment_ids, get_experiment)
 
 
 def test_every_evaluation_artifact_registered():
@@ -48,7 +48,7 @@ def test_validation_experiments_registered():
 def test_light_tables_run_and_render():
     for experiment_id in ("table-3.1", "table-3.6", "table-5.1",
                           "table-5.2", "table-6.1", "table-6.4"):
-        artifact = run_experiment(experiment_id)
+        artifact = api.run_experiment(experiment_id).artifact
         assert isinstance(artifact, Table)
         text = artifact.render()
         assert experiment_id in text
@@ -56,7 +56,7 @@ def test_light_tables_run_and_render():
 
 
 def test_figure_6_7_curves_coincide():
-    figure = run_experiment("figure-6.7")
+    figure = api.run_experiment("figure-6.7").artifact
     const = figure.get_series("constant")
     geo = figure.get_series("geometric")
     for a, b in zip(const.y, geo.y):

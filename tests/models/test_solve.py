@@ -31,16 +31,22 @@ def _analyze_spans(recorder) -> int:
 
 
 def test_uncached_solve_reaches_the_analyzer():
-    """With the cache off, a repeated solve is solved again: the
-    in-process memo of ``solve`` honours ``--no-cache`` too."""
+    """With the cache off, a repeated solve is solved again, even with
+    the point already in the store: the store's kill switch covers its
+    ``solve`` namespace too."""
     from repro import config, obs
+    warm = solve(Architecture.I, Mode.LOCAL, 1, 250.0)
+    with obs.recording() as recorder:
+        solve(Architecture.I, Mode.LOCAL, 1, 250.0)
+    assert _analyze_spans(recorder) == 0        # answered by the store
+    assert recorder.counters["cache.solve_hit"] == 1
     with config.overrides(cache_enabled=False):
         solve(Architecture.I, Mode.LOCAL, 1, 250.0)
         with obs.recording() as recorder:
             again = solve(Architecture.I, Mode.LOCAL, 1, 250.0)
     assert _analyze_spans(recorder) == 1
-    assert again.throughput == \
-        solve(Architecture.I, Mode.LOCAL, 1, 250.0).throughput
+    assert "cache.solve_hit" not in recorder.counters
+    assert again.throughput == warm.throughput
 
 
 def test_solve_memo_keys_on_reduction():

@@ -13,15 +13,15 @@ from repro.experiments.tables import table_5_1
 from repro.faults.chaos import outage_recovery_table
 from repro.gtpn import analyze
 from repro.models import Architecture, build_local_net
-from repro.perf.cache import AnalysisCache
+from repro.perf.cache import Store
 
 
 def test_exact_solve_bit_identical_under_tracing():
     plain = analyze(build_local_net(Architecture.II, 2, 500.0),
-                    cache=AnalysisCache())
+                    cache=Store())
     with obs.recording():
         traced = analyze(build_local_net(Architecture.II, 2, 500.0),
-                         cache=AnalysisCache())
+                         cache=Store())
     assert traced.throughput() == plain.throughput()
     assert (traced.pi == plain.pi).all()
     assert traced.state_count == plain.state_count

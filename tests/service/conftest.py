@@ -4,7 +4,8 @@ Service tests run against tiny synthetic experiments (registered with
 the scoped :func:`~repro.experiments.registry.temporary_experiment`)
 instead of real chapter-6 grids, so the suite exercises queueing,
 coalescing, and the store at millisecond cost.  Every test gets a
-clean config/obs slate and a torn-down default service.
+clean config/obs slate, a fresh memory-only process-wide store and a
+torn-down default service.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from repro import config, obs
 from repro.experiments import Experiment
 from repro.experiments.reporting import Table
 from repro.perf.backends import map_sweep
+from repro.perf.cache import configure_cache
 from repro.service import reset_default_service
 
 
@@ -24,10 +26,12 @@ from repro.service import reset_default_service
 def _clean_state():
     config.reset()
     obs.uninstall()
+    configure_cache()
     yield
     reset_default_service()
     config.reset()
     obs.uninstall()
+    configure_cache()
 
 
 def _inc(x):

@@ -32,11 +32,10 @@ def test_experiment_id_lands_in_structure_half():
 
 
 def test_execution_knobs_do_not_fragment_the_key():
-    # jobs / cache / backend change scheduling, never values (the
-    # backends bit-identity contract) — they must share one address
+    # jobs / cache change scheduling, never values (the backends
+    # bit-identity contract) — they must share one address
     base = build_job_key("figure-6.7", {"seed": 7})
-    for extra in ({"jobs": 4}, {"cache_enabled": False},
-                  {"backend": "sharded"}):
+    for extra in ({"jobs": 4}, {"cache_enabled": False}):
         assert build_job_key("figure-6.7",
                              {"seed": 7, **extra}) == base
 
@@ -86,6 +85,19 @@ def test_numeric_normalisation():
         build_job_key("t", {"duration": 500000.0})
 
 
+def test_sync_lands_in_structure_half():
+    # the sync primitive re-costs architecture II: a value knob
+    base = build_job_key("sync-comparison", {"sync": "tas"})
+    other = build_job_key("sync-comparison", {"sync": "cas"})
+    assert base.structure_digest != other.structure_digest
+    assert base.timing_digest == other.timing_digest
+    config.set_sync("cas")
+    try:
+        assert build_job_key("sync-comparison", {}) == other
+    finally:
+        config.set_sync(None)
+
+
 def test_traffic_knobs_land_in_timing_half():
     base = build_job_key("traffic-knee-quick", {})
     other = build_job_key("traffic-knee-quick", {"arrival_rate": 9.0})
@@ -104,19 +116,18 @@ def test_status_terminality():
     assert not JobStatus.RUNNING.terminal
     assert JobStatus.DONE.terminal
     assert JobStatus.FAILED.terminal
-    assert JobStatus.DROPPED.terminal
 
 
 def test_handle_result_timeout_raises():
     execution = _Execution("toy", None, {})
-    handle = JobHandle("job-0", execution, "default")
+    handle = JobHandle("job-0", execution)
     with pytest.raises(ServiceError, match="still queued"):
         handle.result(timeout=0.05)
 
 
 def test_handle_replays_events_after_completion():
     execution = _Execution("toy", None, {})
-    handle = JobHandle("job-0", execution, "default")
+    handle = JobHandle("job-0", execution)
     execution.mark("submitted", job_id="job-0")
     execution.mark("started", status=JobStatus.RUNNING)
     execution.mark("done", status=JobStatus.DONE, result="r")

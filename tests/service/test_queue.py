@@ -1,4 +1,4 @@
-"""ExperimentService behaviour: queueing, admission, lifecycle."""
+"""ExperimentService behaviour: queueing, backpressure, lifecycle."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ import threading
 import pytest
 
 from repro import api
-from repro.errors import (AdmissionError, ConfigError, ReproError,
-                          ServiceError)
+from repro.errors import ConfigError, ReproError, ServiceError
 from repro.experiments import Experiment, temporary_experiment
 from repro.experiments.reporting import Table
 from repro.service import ExperimentService, JobStatus
@@ -57,57 +56,11 @@ def test_lifecycle_events_in_order():
     assert kinds == ["submitted", "started", "done"]
 
 
-def test_drop_policy_sheds_silently():
-    tracker = ToyTracker()
-    tracker.gate = threading.Event()
-    with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1, queue_depth=1,
-                                    policy="drop")
-        try:
-            running = service.submit("toy-exp", seed=1)
-            assert tracker.started.acquire(timeout=TIMEOUT)
-            queued = service.submit("toy-exp", seed=2)
-            shed = service.submit("toy-exp", seed=3)
-            assert shed.poll() is JobStatus.DROPPED
-            with pytest.raises(AdmissionError) as excinfo:
-                shed.result(timeout=TIMEOUT)
-            assert excinfo.value.policy == "drop"
-            tracker.gate.set()
-            running.result(timeout=TIMEOUT)
-            queued.result(timeout=TIMEOUT)
-        finally:
-            tracker.gate.set()
-            service.shutdown()
-    assert service.stats()["dropped"] == 1
-    assert sorted(tracker.runs) == [1, 2]     # the shed seed never ran
-
-
-def test_reject_policy_raises_at_submit():
-    tracker = ToyTracker()
-    tracker.gate = threading.Event()
-    with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1, queue_depth=1,
-                                    policy="reject")
-        try:
-            running = service.submit("toy-exp", seed=1)
-            assert tracker.started.acquire(timeout=TIMEOUT)
-            service.submit("toy-exp", seed=2)
-            with pytest.raises(AdmissionError, match="queue full"):
-                service.submit("toy-exp", seed=3)
-            tracker.gate.set()
-            running.result(timeout=TIMEOUT)
-        finally:
-            tracker.gate.set()
-            service.shutdown()
-    assert service.stats()["rejected"] == 1
-
-
 def test_backpressure_blocks_submitter_until_room():
     tracker = ToyTracker()
     tracker.gate = threading.Event()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1, queue_depth=1,
-                                    policy="backpressure")
+        service = ExperimentService(workers=1, queue_depth=1)
         try:
             service.submit("toy-exp", seed=1)
             assert tracker.started.acquire(timeout=TIMEOUT)
@@ -142,8 +95,7 @@ def test_backpressured_identical_twins_coalesce_not_duplicate():
     tracker = ToyTracker()
     tracker.gate = threading.Event()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1, queue_depth=1,
-                                    policy="backpressure")
+        service = ExperimentService(workers=1, queue_depth=1)
         try:
             service.submit("toy-exp", seed=1)
             assert tracker.started.acquire(timeout=TIMEOUT)
@@ -176,28 +128,6 @@ def test_backpressured_identical_twins_coalesce_not_duplicate():
     stats = service.stats()
     assert stats["coalesced"] + stats["store_hits"] == 1
     assert results[0].values == results[1].values
-
-
-def test_tenant_quota_isolates_noisy_tenant():
-    tracker = ToyTracker()
-    tracker.gate = threading.Event()
-    with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1, queue_depth=8,
-                                    policy="reject", tenant_quota=1)
-        try:
-            service.submit("toy-exp", seed=1, tenant="noisy")
-            assert tracker.started.acquire(timeout=TIMEOUT)
-            service.submit("toy-exp", seed=2, tenant="noisy")
-            with pytest.raises(AdmissionError, match="at quota"):
-                service.submit("toy-exp", seed=3, tenant="noisy")
-            # a different tenant still gets in
-            polite = service.submit("toy-exp", seed=4, tenant="polite")
-            tracker.gate.set()
-            polite.result(timeout=TIMEOUT)
-        finally:
-            tracker.gate.set()
-            service.shutdown()
-    assert service.stats()["tenants"] == {"noisy": 3, "polite": 1}
 
 
 def test_submit_from_worker_thread_degrades_inline():
@@ -278,8 +208,6 @@ def test_drain_timeout_raises():
 
 
 def test_invalid_construction_rejected():
-    with pytest.raises(ConfigError, match="admission policy"):
-        ExperimentService(policy="shrug")
     with pytest.raises(ConfigError, match="workers"):
         ExperimentService(workers=0)
     with pytest.raises(ConfigError, match="queue_depth"):
@@ -300,7 +228,7 @@ def test_stats_reconcile_after_drain():
     stats = service.stats()
     accounted = (stats["executed"] + stats["failed"] +
                  stats["coalesced"] + stats["store_hits"] +
-                 stats["dropped"] + stats["rejected"] + stats["inline"])
+                 stats["rejected"] + stats["inline"])
     assert stats["submitted"] == 12 == accounted
     assert stats["queue_depth"] == 0 and stats["busy"] == 0
     assert stats["executed"] == 3          # one per unique seed

@@ -5,7 +5,8 @@ from __future__ import annotations
 import threading
 
 from repro.experiments import temporary_experiment
-from repro.service import ExperimentService, ResultStore
+from repro.perf.cache import configure_cache
+from repro.service import ExperimentService
 
 from tests.service.conftest import ToyTracker, make_toy
 
@@ -49,9 +50,8 @@ def test_acceptance_1000_concurrent_submissions_bounded():
     tracker.gate = threading.Event()
     unique = 250                               # 4 submissions each
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(
-            workers=4, queue_depth=1024,
-            store=ResultStore(memory_limit=64))   # force LRU pressure
+        store = configure_cache(limits={"result": 64})  # LRU pressure
+        service = ExperimentService(workers=4, queue_depth=1024)
         handles: list = []
         handles_lock = threading.Lock()
 
@@ -83,5 +83,5 @@ def test_acceptance_1000_concurrent_submissions_bounded():
     assert sorted(tracker.runs) == sorted(range(unique))
     assert stats["coalesced"] + stats["store_hits"] == 1000 - unique
     # bounded memory: the LRU never grows past its limit
-    assert len(service.store) <= 64
+    assert store.entries("result") <= 64
     assert stats["queue_depth"] == 0 and stats["busy"] == 0
