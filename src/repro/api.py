@@ -19,15 +19,11 @@ installs a default :class:`~repro.faults.plan.FaultPlan` every
 kernel-simulator system in the run is built under — the chaos CLI path
 is just a plan plus an experiment id.
 
-Since the experiment service landed, ``run_experiment`` is literally
-``submit_experiment(...).result()`` through the service's **inline
-lane**: the run executes synchronously in the calling thread (same
-stack traces, same profiling, same obs bit-identity as ever) while
-:func:`submit_experiment` exposes the asynchronous side — a
-:class:`~repro.service.jobs.JobHandle` with ``poll`` / ``result`` /
-``stream_events``, request coalescing, and the ``result`` namespace of
-the content-addressed store (:mod:`repro.service`,
-:mod:`repro.perf.cache`).
+``run_experiment`` runs synchronously in the calling thread and never
+reads the content-addressed store's ``result`` namespace: every call
+is a fresh run.  Batch runs that answer repeats from that namespace
+go through :func:`repro.service.serve_experiment` (``repro serve``),
+which wraps the same execution core, :func:`_execute_run`.
 
 ``trace=PATH`` records the run with :mod:`repro.obs` and writes both
 exports: a Chrome-trace JSON at *PATH* and the versioned JSONL stream
@@ -38,7 +34,6 @@ contract of :mod:`repro.obs`).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
@@ -75,9 +70,8 @@ class ExperimentResult:
         return self.artifact.render()
 
 
-# Per-thread so service worker threads and the caller's inline runs
-# never cross-attach extras.
-_extras_local = threading.local()
+#: One extras dict per active run, innermost last.
+_extras_stack: list[dict] = []
 
 
 def attach_extra(name: str, value: Any) -> None:
@@ -91,9 +85,8 @@ def attach_extra(name: str, value: Any) -> None:
     widening the ``runner() -> Artifact`` contract every experiment
     shares.  Outside a :func:`run_experiment` call this is a no-op.
     """
-    stack = getattr(_extras_local, "stack", None)
-    if stack:
-        stack[-1][name] = value
+    if _extras_stack:
+        _extras_stack[-1][name] = value
 
 
 def _artifact_values(artifact) -> Any:
@@ -177,12 +170,12 @@ def _run_overrides(*, seed: int | None = None, jobs: int | None = None,
 def _execute_run(experiment_id: str, run_kwargs: dict,
                  trace: str | Path | None = None) -> ExperimentResult:
     """Execute one experiment under scoped configuration — the core
-    both lanes of the service share.
+    :func:`run_experiment` and :func:`repro.service.serve_experiment`
+    share.
 
     *run_kwargs* are :func:`config.overrides` keywords (the shape
     :func:`_run_overrides` produces).  This is the only place an
-    experiment actually runs; everything above it — queueing,
-    coalescing, the store — is routing.
+    experiment actually runs.
     """
     from repro.experiments.registry import get_experiment
     experiment = get_experiment(experiment_id)
@@ -190,16 +183,13 @@ def _execute_run(experiment_id: str, run_kwargs: dict,
         snapshot = config.resolved_config().as_dict()
         started = perf_now()
         extras: dict = {}
-        stack = getattr(_extras_local, "stack", None)
-        if stack is None:
-            stack = _extras_local.stack = []
-        stack.append(extras)
+        _extras_stack.append(extras)
         try:
             artifact, summary, trace_paths = run_traced(
                 f"experiment:{experiment_id}", experiment.run,
                 trace=trace)
         finally:
-            stack.pop()
+            _extras_stack.pop()
         elapsed = perf_now() - started
     return ExperimentResult(
         experiment_id=experiment_id, kind=experiment.kind,
@@ -228,44 +218,13 @@ def run_experiment(experiment_id: str, *, seed: int | None = None,
     ``traffic-*`` experiments.  ``trace`` writes the Chrome-trace +
     JSONL pair.
 
-    Equivalent to ``submit_experiment(...).result()`` through the
-    service's inline lane: synchronous, in this thread, bypassing the
-    queue, coalescing, and the store's ``result`` namespace.
+    Synchronous, in this thread; never reads the store's ``result``
+    namespace.
     """
-    from repro.service import default_service
-    handle = default_service().submit(
-        experiment_id, lane="inline", trace=trace,
-        **_run_overrides(seed=seed, jobs=jobs, cache=cache,
-                         fault_plan=fault_plan, duration=duration,
-                         arrival_rate=arrival_rate, deadline=deadline,
-                         queue_limit=queue_limit))
-    return handle.result()
-
-
-def submit_experiment(experiment_id: str, *, service=None,
-                      seed: int | None = None,
-                      jobs: int | None = None, cache: bool | None = None,
-                      fault_plan=None, duration: float | None = None,
-                      arrival_rate: float | None = None,
-                      deadline: float | None = None,
-                      queue_limit: int | None = None,
-                      trace: str | Path | None = None):
-    """Submit one experiment to the service; returns a
-    :class:`~repro.service.jobs.JobHandle` immediately.
-
-    The asynchronous sibling of :func:`run_experiment` (same keywords,
-    same semantics once the job runs): the submission goes through the
-    default :class:`~repro.service.ExperimentService` — the bounded
-    queue, request coalescing, the store's ``result`` namespace — and
-    the handle exposes ``poll()`` / ``result(timeout)`` /
-    ``stream_events()``.  Pass ``service=`` to target a specific
-    service instance.
-    """
-    from repro.service import default_service
-    svc = service if service is not None else default_service()
-    return svc.submit(
-        experiment_id, trace=trace,
-        **_run_overrides(seed=seed, jobs=jobs, cache=cache,
-                         fault_plan=fault_plan, duration=duration,
-                         arrival_rate=arrival_rate, deadline=deadline,
-                         queue_limit=queue_limit))
+    return _execute_run(
+        experiment_id,
+        _run_overrides(seed=seed, jobs=jobs, cache=cache,
+                       fault_plan=fault_plan, duration=duration,
+                       arrival_rate=arrival_rate, deadline=deadline,
+                       queue_limit=queue_limit),
+        trace=trace)

@@ -22,9 +22,10 @@ worker processes of the persistent local pool (``REPRO_JOBS`` sets the
 same default; see :mod:`repro.perf.backends`); ``--no-cache`` turns
 off the content-addressed store of analyses, solves and results
 (``REPRO_CACHE_DIR`` gives it an on-disk tier).  Neither flag changes
-any computed value.  ``repro serve`` drives the async experiment
-service (:mod:`repro.service`): submissions queue, twins coalesce,
-and repeats answer from the store.
+any computed value.  ``repro serve`` runs a batch of ids one after
+another through :mod:`repro.service`: each run is answered from the
+store's ``result`` namespace when it is there, else executed and
+stored.
 ``--seed N`` sets the default seed of every stochastic component
 (``REPRO_SEED`` sets the same default); runs are deterministic either
 way, the seed just selects which deterministic run.  Flag/env/default
@@ -302,46 +303,33 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """Drive the experiment service: submit ids (with repeats) through
-    the async queue, report per-job outcomes, optionally dump stats."""
-    from repro.service import ExperimentService
-    service = ExperimentService(workers=args.workers,
-                                queue_depth=args.queue_depth)
-    try:
-        handles = []
-        rejected = 0
-        for round_index in range(args.repeat):
-            for experiment_id in args.ids:
-                try:
-                    handles.append(api.submit_experiment(
-                        experiment_id, service=service))
-                except ReproError as error:
-                    rejected += 1
-                    print(f"rejected   {experiment_id:<22} {error}",
-                          file=sys.stderr)
-        failures = 0
-        for handle in handles:
+    """Run ids (with repeats) one after another through the result
+    store, report per-job outcomes, optionally print the ledger."""
+    from repro.perf.cache import get_cache
+    from repro.service import serve_experiment
+    ledger = dict.fromkeys(("submitted", "executed", "store_hits",
+                            "failed"), 0)
+    for _round in range(args.repeat):
+        for experiment_id in args.ids:
+            ledger["submitted"] += 1
+            job_id = f"job-{ledger['submitted']}"
             try:
-                result = handle.result(timeout=args.timeout)
+                result, store_hit = serve_experiment(experiment_id)
             except ReproError as error:
-                failures += 1
-                print(f"{handle.job_id:<10} "
-                      f"{handle.experiment_id:<22} FAILED  {error}",
+                ledger["failed"] += 1
+                print(f"{job_id:<10} {experiment_id:<22} FAILED  {error}",
                       file=sys.stderr)
                 continue
-            how = "store-hit" if handle.store_hit else \
-                "coalesced" if handle.coalesced else "executed"
-            print(f"{handle.job_id:<10} {handle.experiment_id:<22} "
-                  f"{handle.poll().value:<8} {how:<10} "
-                  f"{result.elapsed_s:.2f}s")
-        service.drain(timeout=args.timeout)
-        if args.stats:
-            print("\nservice stats:")
-            for key, value in service.stats().items():
-                print(f"  {key:<16} {value}")
-        return 1 if failures or rejected else 0
-    finally:
-        service.shutdown(wait=True)
+            ledger["store_hits" if store_hit else "executed"] += 1
+            how = "store-hit" if store_hit else "executed"
+            print(f"{job_id:<10} {experiment_id:<22} {'done':<8} "
+                  f"{how:<10} {result.elapsed_s:.2f}s")
+    if args.stats:
+        print("\nserve stats:")
+        for key, value in ledger.items():
+            print(f"  {key:<16} {value}")
+        print(f"  {'store':<16} {get_cache().stats()}")
+    return 1 if ledger["failed"] else 0
 
 
 def _cmd_scoreboard(_args: argparse.Namespace) -> int:
@@ -633,28 +621,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_serve = sub.add_parser(
         "serve",
-        help="run experiments through the async experiment service "
-             "(job queue, coalescing, result store; repro.service)")
+        help="run a batch of experiments one after another, answering "
+             "repeats from the result store (repro.service)")
     p_serve.add_argument("ids", nargs="+",
-                         help="experiment ids to submit")
+                         help="experiment ids to run")
     p_serve.add_argument(
         "--repeat", type=int, default=1, metavar="N",
-        help="submit the id list N times (duplicates exercise "
-             "coalescing and the result store; default 1)")
-    p_serve.add_argument(
-        "--workers", type=int, default=2, metavar="N",
-        help="service worker threads (default 2; executions are "
-             "serialised, workers overlap queueing and bookkeeping)")
-    p_serve.add_argument(
-        "--queue-depth", type=int, default=64, metavar="N",
-        help="bounded job-queue depth; a full queue makes the "
-             "submitter wait (default 64)")
-    p_serve.add_argument(
-        "--timeout", type=float, default=600.0, metavar="S",
-        help="per-job result timeout in seconds (default 600)")
+        help="run the id list N times (repeats are answered from the "
+             "result store; default 1)")
     p_serve.add_argument(
         "--stats", action="store_true",
-        help="print the service stats snapshot after the queue drains")
+        help="print the submitted/executed/store-hit/failed ledger "
+             "and the store's counters after the batch")
     p_serve.set_defaults(fn=_cmd_serve)
 
     p_stats = sub.add_parser(

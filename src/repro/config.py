@@ -43,24 +43,12 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 from repro.errors import ConfigError
 
 _UNSET = object()
-
-#: Guards the scoped-override stack *and* every mutation of the
-#: CLI-level globals made by :func:`overrides`, so a concurrent
-#: :func:`ambient_config` reader always sees either the pristine state
-#: or a consistent savepoint — never a half-installed override set.
-_scoped_lock = threading.Lock()
-
-#: Savepoints of every active :func:`overrides` block, outermost
-#: first.  The bottom entry is the configuration *outside* all scoped
-#: overrides — what :func:`ambient_config` resolves against.
-_scoped_stack: list[tuple] = []
 
 _cli_jobs: int | None = None
 _cli_seed: int | None = None
@@ -149,11 +137,9 @@ def seed() -> int | None:
     return _resolve_seed()[0]
 
 
-def _resolve_seed(cli=_UNSET) -> tuple[int | None, str]:
-    if cli is _UNSET:
-        cli = _cli_seed
-    if cli is not None:
-        return cli, "cli"
+def _resolve_seed() -> tuple[int | None, str]:
+    if _cli_seed is not None:
+        return _cli_seed, "cli"
     env = os.environ.get("REPRO_SEED", "")
     if env:
         try:
@@ -245,11 +231,9 @@ def reduction() -> str:
     return _resolve_reduction()[0]
 
 
-def _resolve_reduction(cli=_UNSET) -> tuple[str, str]:
-    if cli is _UNSET:
-        cli = _cli_reduction
-    if cli is not None:
-        return cli, "cli"
+def _resolve_reduction() -> tuple[str, str]:
+    if _cli_reduction is not None:
+        return _cli_reduction, "cli"
     env = os.environ.get("REPRO_REDUCTION", "")
     if env.strip():
         return normalize_reduction(env, "REPRO_REDUCTION"), "env"
@@ -268,8 +252,7 @@ def _resolve_reduction(cli=_UNSET) -> tuple[str, str]:
 #: speculative (HTM-style) synchronization.  This knob **changes
 #: computed values**: the architecture II model parameters are
 #: re-derived from the selected primitive's microcoded cost row, so it
-#: is part of a job's identity (:func:`ambient_config`) and of the
-#: store's ``solve`` key.
+#: is part of the store's ``solve`` and ``result`` keys.
 VALID_SYNCS = ("tas", "cas", "llsc", "htm")
 
 _cli_sync: str | None = None
@@ -297,11 +280,9 @@ def sync() -> str:
     return _resolve_sync()[0]
 
 
-def _resolve_sync(cli=_UNSET) -> tuple[str, str]:
-    if cli is _UNSET:
-        cli = _cli_sync
-    if cli is not None:
-        return cli, "cli"
+def _resolve_sync() -> tuple[str, str]:
+    if _cli_sync is not None:
+        return _cli_sync, "cli"
     env = os.environ.get("REPRO_SYNC", "")
     if env.strip():
         return normalize_sync(env, "REPRO_SYNC"), "env"
@@ -335,10 +316,9 @@ def _set_traffic_knob(name: str, value) -> None:
         else validate(value, flag.lstrip("-"))
 
 
-def _resolve_traffic_knob(name: str, cli=_UNSET):
+def _resolve_traffic_knob(name: str):
     _flag, env_var, validate = _TRAFFIC_KNOBS[name]
-    if cli is _UNSET:
-        cli = _cli_traffic[name]
+    cli = _cli_traffic[name]
     if cli is not None:
         return cli, "cli"
     env = os.environ.get(env_var, "")
@@ -436,86 +416,41 @@ def overrides(*, jobs=_UNSET, seed=_UNSET, cache_enabled=_UNSET,
     behave exactly like the matching CLI flags (same precedence, same
     validation) without leaking into the rest of the process.  Passing
     nothing leaves a knob untouched — including an override already
-    installed by the CLI.
+    installed by the CLI.  Overrides are process-global for the
+    block's duration, so runs execute one at a time; a run's store key
+    (:func:`repro.service.build_job_key`) is resolved inside its
+    block.
     """
     global _cli_jobs, _cli_seed, _cli_cache_enabled, _default_fault_plan
     global _cli_reduction, _cli_sync
-    with _scoped_lock:
-        saved = (_cli_jobs, _cli_seed, _cli_cache_enabled,
-                 _default_fault_plan, _cli_reduction, _cli_sync,
-                 dict(_cli_traffic))
-        _scoped_stack.append(saved)
+    saved = (_cli_jobs, _cli_seed, _cli_cache_enabled, _default_fault_plan,
+             _cli_reduction, _cli_sync, dict(_cli_traffic))
     try:
-        with _scoped_lock:
-            if jobs is not _UNSET:
-                set_jobs(jobs)
-            if seed is not _UNSET:
-                set_seed(seed)
-            if cache_enabled is not _UNSET and cache_enabled is not None:
-                set_cache_enabled(cache_enabled)
-            if fault_plan is not _UNSET:
-                set_default_fault_plan(fault_plan)
-            if reduction is not _UNSET:
-                set_reduction(reduction)
-            if sync is not _UNSET:
-                set_sync(sync)
-            if duration is not _UNSET:
-                set_duration(duration)
-            if arrival_rate is not _UNSET:
-                set_arrival_rate(arrival_rate)
-            if deadline is not _UNSET:
-                set_deadline(deadline)
-            if queue_limit is not _UNSET:
-                set_queue_limit(queue_limit)
+        if jobs is not _UNSET:
+            set_jobs(jobs)
+        if seed is not _UNSET:
+            set_seed(seed)
+        if cache_enabled is not _UNSET and cache_enabled is not None:
+            set_cache_enabled(cache_enabled)
+        if fault_plan is not _UNSET:
+            set_default_fault_plan(fault_plan)
+        if reduction is not _UNSET:
+            set_reduction(reduction)
+        if sync is not _UNSET:
+            set_sync(sync)
+        if duration is not _UNSET:
+            set_duration(duration)
+        if arrival_rate is not _UNSET:
+            set_arrival_rate(arrival_rate)
+        if deadline is not _UNSET:
+            set_deadline(deadline)
+        if queue_limit is not _UNSET:
+            set_queue_limit(queue_limit)
         yield
     finally:
-        with _scoped_lock:
-            (_cli_jobs, _cli_seed, _cli_cache_enabled,
-             _default_fault_plan, _cli_reduction, _cli_sync,
-             traffic_saved) = saved
-            _cli_traffic.update(traffic_saved)
-            _scoped_stack.pop()
-
-
-def ambient_config() -> dict:
-    """The knobs a submission made *now* should key on, immune to
-    scoped overrides installed by a concurrently running execution.
-
-    :func:`overrides` is how ``repro.api._execute_run`` applies one
-    run's keywords process-globally for the run's duration; a reader
-    resolving knobs through the plain accessors meanwhile would absorb
-    that run's values.  This resolves against the bottom of the
-    scoped-override stack — the CLI/env state outside every active
-    ``overrides`` block — under the same lock the installs take, so
-    the snapshot is always consistent.  Used by
-    :func:`repro.service.jobs.build_job_key` so concurrent submissions
-    never inherit a running job's parameters into their identity.
-    """
-    with _scoped_lock:
-        if _scoped_stack:
-            (_jobs_cli, seed_cli, _cache_cli, plan, reduction_cli,
-             sync_cli, traffic_cli) = _scoped_stack[0]
-        else:
-            seed_cli, plan = _cli_seed, _default_fault_plan
-            reduction_cli = _cli_reduction
-            sync_cli = _cli_sync
-            traffic_cli = dict(_cli_traffic)
-    return {
-        "seed": _resolve_seed(seed_cli)[0],
-        "reduction": _resolve_reduction(reduction_cli)[0],
-        "sync": _resolve_sync(sync_cli)[0],
-        "fault_plan": plan,
-        "duration":
-            _resolve_traffic_knob("duration", traffic_cli["duration"])[0],
-        "arrival_rate":
-            _resolve_traffic_knob("arrival_rate",
-                                  traffic_cli["arrival_rate"])[0],
-        "deadline":
-            _resolve_traffic_knob("deadline", traffic_cli["deadline"])[0],
-        "queue_limit":
-            _resolve_traffic_knob("queue_limit",
-                                  traffic_cli["queue_limit"])[0],
-    }
+        (_cli_jobs, _cli_seed, _cli_cache_enabled, _default_fault_plan,
+         _cli_reduction, _cli_sync, traffic_saved) = saved
+        _cli_traffic.update(traffic_saved)
 
 
 # ----------------------------------------------------------------------

@@ -73,7 +73,3 @@ class ConfigError(ReproError, ValueError):
     Also a :class:`ValueError` so argument-validation call sites keep
     their historical contract.
     """
-
-
-class ServiceError(ReproError):
-    """Experiment-service failure (job queue, handles)."""

@@ -182,8 +182,8 @@ REGISTRY: dict[str, Experiment] = {
 def register_experiment(experiment: Experiment) -> None:
     """Install (or replace) an experiment under its id.
 
-    The extension seam for runners the core does not ship — service
-    and coalescing tests register tiny synthetic experiments rather
+    The extension seam for runners the core does not ship — the
+    ``repro serve`` tests register tiny synthetic experiments rather
     than paying for real chapter-6 grids.  Most callers want the
     scoped :func:`temporary_experiment` instead.
     """

@@ -10,9 +10,11 @@ Records keep their origin pid and per-process-relative timestamps, so
 merged traces show each worker on its own timeline.
 
 The spill directory travels to workers through the pool initializer
-(:mod:`repro.perf.backends.local` keys its persistent pool on it, so toggling
+(:mod:`repro.perf.backends` keys its persistent pool on it, so toggling
 tracing rebuilds the pool); a worker with no spill directory keeps
-tracing disabled and pays nothing.
+tracing disabled and pays nothing.  A sweep that fails before its merge
+deletes the spill files unread (:func:`discard_spills`), so they never
+leak into a later sweep's trace.
 """
 
 from __future__ import annotations
@@ -93,3 +95,9 @@ def merge_spills(recorder: obs.Recorder, directory: str | Path) -> int:
         merged += len(records)
         path.unlink(missing_ok=True)
     return merged
+
+
+def discard_spills(directory: str | Path) -> None:
+    """Parent-side: delete every spill file under *directory* unread."""
+    for path in Path(directory).glob("obs-*.jsonl"):
+        path.unlink(missing_ok=True)

@@ -6,8 +6,8 @@ the two scalable-offload levers are
 
 * :func:`map_sweep` (:mod:`repro.perf.backends`) — fan independent
   grid points out over the persistent local process pool (``--jobs``
-  / ``REPRO_JOBS``; one job runs in-process), with ordered results and
-  a graceful serial fallback, and
+  / ``REPRO_JOBS``; one job runs in an in-process loop), with ordered
+  results and a graceful serial fallback, and
 * :class:`Store` (:mod:`repro.perf.cache`) — the one content-addressed
   store of analyses, solves and experiment results: per-namespace
   LRUs over one optional disk tier (``REPRO_CACHE_DIR``), behind one
@@ -17,16 +17,14 @@ Both are policy-free utilities: they know nothing about GTPN
 internals beyond the duck-typed net attributes the fingerprint reads.
 """
 
-from repro.perf.backends import (ExecutorBackend, MapInfo,
-                                 default_jobs, last_map_info, map_sweep,
-                                 plan_jobs, set_default_jobs,
+from repro.perf.backends import (MapInfo, default_jobs, last_map_info,
+                                 map_sweep, plan_jobs, set_default_jobs,
                                  shutdown_pool)
 from repro.perf.cache import (Store, cache_enabled, configure_cache,
                               fingerprint_net, get_cache,
                               set_cache_enabled)
 
 __all__ = [
-    "ExecutorBackend",
     "MapInfo",
     "Store",
     "cache_enabled",

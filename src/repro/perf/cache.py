@@ -10,7 +10,7 @@ of three key namespaces:
 * ``solve`` — one operating point's throughput
   (:func:`repro.models.solve.solve`), keyed ``("solve", architecture,
   mode, conversations, compute_time, sync, reduction)``;
-* ``result`` — one whole experiment result of the service
+* ``result`` — one whole experiment result of ``repro serve``
   (:mod:`repro.service`), keyed ``("result", JobKey.digest)``.
 
 A net is fingerprinted by a *split key* (:class:`NetFingerprint`):

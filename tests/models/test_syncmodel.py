@@ -84,7 +84,7 @@ class TestSolveWithSync:
             assert fast.sync == "tas"
             assert fast.throughput == base.throughput
 
-    def test_ambient_config_resolves_when_sync_omitted(self):
+    def test_ambient_sync_resolves_when_omitted(self):
         with config.overrides(sync="llsc"):
             ambient = solve(Architecture.II, Mode.LOCAL, 2)
         explicit = solve(Architecture.II, Mode.LOCAL, 2, sync="llsc")

@@ -1,5 +1,5 @@
-"""The front-door API: parity with legacy paths, config scoping,
-deprecation of the old entry point."""
+"""The front-door API: parity with the direct runner, config scoping,
+extras and traces."""
 
 from __future__ import annotations
 
@@ -92,64 +92,29 @@ class TestRunExperiment:
         with pytest.raises(ReproError, match="unknown experiment"):
             api.run_experiment("figure-9.99")
 
+    def test_run_experiment_never_reads_the_store(self):
+        # a stored result of the same run is ignored: every call runs
+        from repro.experiments.registry import Experiment, REGISTRY
+        from repro.experiments.reporting import Table
+        from repro.perf.cache import configure_cache
+        from repro.service import serve_experiment
+        runs = []
 
-class TestSubmitExperiment:
-    """API parity: ``submit_experiment(...).result()`` must produce
-    byte-identical ``ExperimentResult`` fields to ``run_experiment``
-    (everything except wall-clock timing)."""
+        def runner():
+            runs.append(config.seed())
+            return Table(experiment_id="store-test", title="t",
+                         headers=["seed"], rows=[[config.seed()]])
 
-    @staticmethod
-    def _assert_field_parity(async_result, inline_result):
-        assert async_result.experiment_id == inline_result.experiment_id
-        assert async_result.kind == inline_result.kind
-        assert async_result.title == inline_result.title
-        assert async_result.values == inline_result.values
-        assert async_result.config == inline_result.config
-        assert async_result.extras == inline_result.extras
-        assert async_result.trace_paths == inline_result.trace_paths
-        assert async_result.obs_summary == inline_result.obs_summary
-
-    def test_parity_on_figure(self):
-        from repro.service import ExperimentService
-        service = ExperimentService()
+        REGISTRY["store-test"] = Experiment(
+            "store-test", "t", "table", runner)
+        configure_cache()
         try:
-            handle = api.submit_experiment("figure-6.7", seed=7,
-                                           service=service)
-            async_result = handle.result(timeout=120)
+            _, hit = serve_experiment("store-test", seed=3)
+            result = api.run_experiment("store-test", seed=3)
+            _, hit_again = serve_experiment("store-test", seed=3)
         finally:
-            service.shutdown()
-        inline_result = api.run_experiment("figure-6.7", seed=7)
-        self._assert_field_parity(async_result, inline_result)
-
-    def test_parity_on_seeded_chaos_run(self):
-        from repro.service import ExperimentService
-        service = ExperimentService()
-        try:
-            handle = api.submit_experiment("chaos-outage", seed=11,
-                                           service=service)
-            async_result = handle.result(timeout=300)
-        finally:
-            service.shutdown()
-        inline_result = api.run_experiment("chaos-outage", seed=11)
-        self._assert_field_parity(async_result, inline_result)
-
-    def test_run_experiment_is_inline_submit(self):
-        from repro.service import default_service
-        before = default_service().stats()["inline"]
-        api.run_experiment("table-5.1")
-        stats = default_service().stats()
-        assert stats["inline"] == before + 1
-        # the inline lane bypasses queue and store
-        assert stats["queue_depth"] == 0
-
-    def test_submit_rejects_unknown_experiment_at_execution(self):
-        from repro.errors import ReproError
-        from repro.service import ExperimentService
-        service = ExperimentService()
-        try:
-            handle = api.submit_experiment("figure-9.99",
-                                           service=service)
-            with pytest.raises(ReproError, match="unknown experiment"):
-                handle.result(timeout=120)
-        finally:
-            service.shutdown()
+            REGISTRY.pop("store-test")
+            configure_cache()
+        assert (hit, hit_again) == (False, True)
+        assert runs == [3, 3]
+        assert result.values == [[3]]

@@ -2,15 +2,30 @@
 
 from __future__ import annotations
 
+import os
+import signal
+from pathlib import Path
+
 import pytest
 
 from repro import obs
-from repro.perf.backends import (last_map_info, local, map_sweep,
-                                 shutdown_pool)
+from repro.perf import backends
+from repro.perf.backends import last_map_info, map_sweep, shutdown_pool
 
 
 def _square(x: int) -> int:
     return x * x
+
+
+def _kill_worker_on_last(item: tuple[int, int]) -> int:
+    parent_pid, x = item
+    if x == 15 and os.getpid() != parent_pid:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
+def _spill_files() -> list[Path]:
+    return list(Path(backends._parent_spill_dir).glob("obs-*.jsonl"))
 
 
 @pytest.fixture(autouse=True)
@@ -57,9 +72,8 @@ def test_parallel_sweep_merges_worker_spans():
     assert map_span.pid == recorder.pid
     assert map_span.attrs["mode"] == "parallel"
     # spill files were consumed by the merge
-    assert local._parent_spill_dir is not None
-    from pathlib import Path
-    assert list(Path(local._parent_spill_dir).glob("obs-*.jsonl")) == []
+    assert backends._parent_spill_dir is not None
+    assert _spill_files() == []
 
 
 def test_parallel_results_identical_with_and_without_tracing():
@@ -68,3 +82,25 @@ def test_parallel_results_identical_with_and_without_tracing():
     with obs.recording():
         traced = map_sweep(_square, items, jobs=2, oversubscribe=True)
     assert traced == plain
+
+
+def test_broken_traced_sweep_leaves_no_spills_for_the_next():
+    # a worker dies on the last item after its siblings spilled their
+    # spans: the serial re-run records every item itself, so the
+    # spilled files must go, not merge into the next traced sweep
+    items = [(os.getpid(), x) for x in range(16)]
+    with obs.recording() as recorder:
+        results = map_sweep(_kill_worker_on_last, items, jobs=2,
+                            oversubscribe=True, chunksize=1)
+    assert results == [x * x for x in range(16)]
+    if "worker pool broke" not in (last_map_info().reason or ""):
+        pytest.skip(f"pool did not run: {last_map_info().reason}")
+    tasks = [s for s in recorder.spans if s.name == "pool.task"]
+    assert len(tasks) == 16
+    assert _spill_files() == []
+    with obs.recording() as recorder:
+        map_sweep(_square, list(range(16)), jobs=2, oversubscribe=True,
+                  chunksize=1)
+    assert last_map_info().mode == "parallel"
+    tasks = [s for s in recorder.spans if s.name == "pool.task"]
+    assert sorted(s.attrs["index"] for s in tasks) == list(range(16))

@@ -1,22 +1,20 @@
-"""The frozen ExecutorBackend protocol and the two shipped backends.
+"""The sweep executor's two paths: the in-process loop and the pool.
 
-Pins the two contracts every sweep call site relies on: the protocol
-surface never changes shape, and results are bit-identical whether a
-sweep ran in-process or on the local pool.
+Pins the contract every sweep call site relies on: results are
+bit-identical whether a sweep ran in-process or on the local pool, and
+a pool that breaks mid-sweep degrades to the in-process loop.
 """
 
 from __future__ import annotations
 
-import inspect
 import os
 import signal
 
 import pytest
 
 from repro import config
-from repro.perf.backends import (MIN_ITEMS_PER_JOB, ExecutorBackend,
-                                 LocalPoolBackend, SerialBackend,
-                                 last_map_info, map_sweep, shutdown_pool)
+from repro.perf.backends import (MIN_ITEMS_PER_JOB, last_map_info,
+                                 map_sweep, shutdown_pool)
 
 
 def _square(x):
@@ -44,45 +42,19 @@ def _fresh_pools():
 
 
 # ----------------------------------------------------------------------
-# the frozen protocol
-# ----------------------------------------------------------------------
-
-def test_protocol_surface_is_frozen():
-    assert sorted(ExecutorBackend.__abstractmethods__) == \
-        ["describe", "shutdown", "submit_map"]
-    sig = inspect.signature(ExecutorBackend.submit_map)
-    assert list(sig.parameters) == \
-        ["self", "fn", "work", "n_jobs", "star", "chunksize"]
-    for keyword in ("n_jobs", "star", "chunksize"):
-        assert sig.parameters[keyword].kind is \
-            inspect.Parameter.KEYWORD_ONLY
-
-
-def test_shipped_backends_implement_the_protocol():
-    for cls, name in ((SerialBackend, "serial"),
-                      (LocalPoolBackend, "local")):
-        backend = cls()
-        assert isinstance(backend, ExecutorBackend)
-        assert backend.name == name
-        assert isinstance(backend.describe(), str)
-
-
-# ----------------------------------------------------------------------
-# bit-identity across backends
+# bit-identity across the two paths
 # ----------------------------------------------------------------------
 
 def test_results_bit_identical_across_backends():
     items = [(x * 0.1, 3.7) for x in range(6 * MIN_ITEMS_PER_JOB)]
     reference = map_sweep(_scaled, items, jobs=1, star=True)
     info = last_map_info()
-    assert info.backend == "serial"
+    assert info.mode == "serial"
     assert info.reason == "serial requested (jobs=1)"
     got = map_sweep(_scaled, items, jobs=2, star=True,
                     oversubscribe=True)
     assert got == reference
-    info = last_map_info()
-    if info.mode == "parallel":
-        assert info.backend == "local"
+    assert last_map_info().mode == "parallel"
 
 
 def test_experiment_bit_identical_across_backends():

@@ -148,7 +148,7 @@ def test_pool_persists_across_sweeps():
     from repro.perf import backends
     items = list(range(4 * MIN_ITEMS_PER_JOB))
     map_sweep(_square, items, jobs=2, oversubscribe=True)
-    first = backends._LOCAL._manager.executor
+    first = backends._pool
     assert first is not None
     map_sweep(_square, items, jobs=2, oversubscribe=True)
-    assert backends._LOCAL._manager.executor is first
+    assert backends._pool is first

@@ -1,16 +1,13 @@
-"""Shared fixtures for the experiment-service suite.
+"""Shared fixtures for the ``repro serve`` suite.
 
-Service tests run against tiny synthetic experiments (registered with
+Serve tests run against tiny synthetic experiments (registered with
 the scoped :func:`~repro.experiments.registry.temporary_experiment`)
-instead of real chapter-6 grids, so the suite exercises queueing,
-coalescing, and the store at millisecond cost.  Every test gets a
-clean config/obs slate, a fresh memory-only process-wide store and a
-torn-down default service.
+instead of real chapter-6 grids, so the suite exercises the result
+store at millisecond cost.  Every test gets a clean config/obs slate
+and a fresh memory-only process-wide store.
 """
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -19,7 +16,6 @@ from repro.experiments import Experiment
 from repro.experiments.reporting import Table
 from repro.perf.backends import map_sweep
 from repro.perf.cache import configure_cache
-from repro.service import reset_default_service
 
 
 @pytest.fixture(autouse=True)
@@ -28,7 +24,6 @@ def _clean_state():
     obs.uninstall()
     configure_cache()
     yield
-    reset_default_service()
     config.reset()
     obs.uninstall()
     configure_cache()
@@ -43,21 +38,15 @@ class ToyTracker:
 
     def __init__(self):
         self.runs: list[int | None] = []   # seed per execution
-        self.gate: threading.Event | None = None
-        self.started = threading.Semaphore(0)
 
 
 def make_toy(experiment_id: str = "toy-exp",
              tracker: ToyTracker | None = None,
              fail: bool = False) -> Experiment:
-    """A synthetic table experiment: seed-dependent values, exactly
+    """A synthetic table experiment: seed-dependent values and exactly
     one ``map_sweep`` item (so a traced execution emits exactly one
-    ``pool.task`` span), optional gate to hold executions open."""
+    ``pool.task`` span)."""
     def runner() -> Table:
-        if tracker is not None:
-            tracker.started.release()
-            if tracker.gate is not None:
-                assert tracker.gate.wait(timeout=30.0)
         if fail:
             from repro.errors import ReproError
             raise ReproError("toy runner failed on purpose")

