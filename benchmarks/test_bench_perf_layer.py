@@ -4,8 +4,9 @@ Records serial-vs-parallel, cold-vs-warm-cache, and structure-sharing
 sweep wall times to ``BENCH_perf.json`` (via the ``perf_record``
 fixture), and asserts the headline guarantees: values are bit-identical
 on every path, the cache fast path delivers at least a 1.5x wall-clock
-improvement, and the structure-sharing sweep engine beats per-point
-analysis by at least 4x on a cold 18-point grid.
+improvement, and structure sharing through one ``Analyzer`` beats
+per-point analysis by at least ``MIN_SWEEP_SPEEDUP`` on a cold
+18-point grid.
 
 The parallel timings are recorded unconditionally but only asserted
 against when the machine actually has more than one CPU — on a
@@ -16,13 +17,13 @@ record says so (``mode``/``reason`` from ``last_map_info``).
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import numpy as np
 
 from repro import obs
 from repro.experiments.figures import figure_6_18
-from repro.gtpn import analyze
-from repro.gtpn.sweep import SweepSolver
+from repro.gtpn import Analyzer, analyze
 from repro.models import Architecture, build_local_net
 from repro.obs.clock import perf_now
 from repro.perf import Store, get_cache, set_cache_enabled
@@ -53,37 +54,66 @@ def _timed(fn, *args, **kwargs):
     return result, perf_now() - started
 
 
+def _sweep_fields(recorder) -> dict:
+    """The per-stage record fields of one traced run: stage seconds
+    from the ``gtpn.*`` spans, point counts from the ``gtpn.analyze``
+    outcomes and the ``gtpn.skeleton_mismatch`` counter."""
+    totals = recorder.span_totals()
+    outcomes = Counter(span.attrs.get("outcome")
+                       for span in recorder.spans
+                       if span.name == "gtpn.analyze")
+    return dict(build_s=totals.get("gtpn.build", (0, 0.0))[1],
+                retime_s=totals.get("gtpn.retime", (0, 0.0))[1],
+                solve_s=totals.get("gtpn.solve", (0, 0.0))[1],
+                skeleton_builds=outcomes["built"],
+                points_retimed=outcomes["retimed"],
+                payload_hits=outcomes["cache-hit"],
+                mismatches=int(recorder.counters.get(
+                    "gtpn.skeleton_mismatch", 0)))
+
+
+def _traced_run(label: str, fn):
+    """Run *fn* under its own Recorder inside one ``bench:<label>``
+    span; returns the result, the span's seconds and the recorder."""
+    with obs.recording() as recorder:
+        with obs.span(f"bench:{label}"):
+            result = fn()
+    return result, recorder.span_totals()[f"bench:{label}"][1], recorder
+
+
 def test_bench_sweep_vs_pointwise_analyze(perf_record):
-    """Tentpole guarantee: a cold parameter sweep through
-    ``SweepSolver`` builds the reachability graph once and re-times it
-    per point, beating cold per-point ``analyze`` by ``>= 4x`` with
-    bit-identical results.  Both paths run with caching off (private
-    cold state), so the win measured is structure sharing alone."""
+    """Tentpole guarantee: a cold parameter sweep through one
+    ``Analyzer`` builds the reachability graph once and re-times it
+    per point, beating cold per-point ``analyze`` by at least
+    ``MIN_SWEEP_SPEEDUP`` with bit-identical results.  Both paths run
+    with the store off and are traced alike, so the win measured is
+    structure sharing alone."""
     set_cache_enabled(False)
     try:
-        pointwise, pointwise_s = _timed(lambda: [
+        pointwise, pointwise_s, _ = _traced_run("pointwise", lambda: [
             analyze(build_local_net(Architecture.II, 3, x))
             for x in _SWEEP_COMPUTE_TIMES])
-        solver = SweepSolver(cache=None)
-        swept, sweep_s = _timed(lambda: [
-            solver.analyze(build_local_net(Architecture.II, 3, x))
+        analyzer = Analyzer()
+        swept, sweep_s, trace = _traced_run("sweep", lambda: [
+            analyzer.analyze(build_local_net(Architecture.II, 3, x))
             for x in _SWEEP_COMPUTE_TIMES])
     finally:
         set_cache_enabled(True)
 
     speedup = pointwise_s / sweep_s
+    fields = _sweep_fields(trace)
     perf_record(bench="sweep-vs-pointwise-arch2-local-n3",
                 grid_points=len(_SWEEP_COMPUTE_TIMES),
                 state_count=pointwise[0].state_count,
                 pointwise_s=pointwise_s, sweep_s=sweep_s,
-                speedup=speedup, **solver.stats.as_dict())
+                speedup=speedup, **fields)
 
     for a, b in zip(pointwise, swept):
         assert a.throughput() == b.throughput()
         assert np.array_equal(a.pi, b.pi)
         assert a.state_count == b.state_count
-    assert solver.stats.skeleton_builds == 1
-    assert solver.stats.points_retimed == len(_SWEEP_COMPUTE_TIMES) - 1
+    assert fields["skeleton_builds"] == 1
+    assert fields["points_retimed"] == len(_SWEEP_COMPUTE_TIMES) - 1
     assert speedup >= MIN_SWEEP_SPEEDUP
 
 

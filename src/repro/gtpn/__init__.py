@@ -2,8 +2,9 @@
 
 The GTPN package is the modeling substrate of the reproduction: nets
 are built with :class:`Net`, solved exactly with :func:`analyze`
-(reachability graph + embedded Markov chain) or estimated by Monte
-Carlo with :func:`simulate`.
+(reachability graph + embedded Markov chain; an :class:`Analyzer`
+shares one structure's graph across a stream of timings) or estimated
+by Monte Carlo with :func:`simulate`.
 
 Quick example — an M/Geo/1-style cycle with mean service 10 ticks::
 
@@ -18,7 +19,7 @@ Quick example — an M/Geo/1-style cycle with mean service 10 ticks::
     print(analyze(net).throughput())   # ~ 1/11 per tick
 """
 
-from repro.gtpn.analysis import AnalysisResult, analyze
+from repro.gtpn.analysis import AnalysisResult, Analyzer, analyze
 from repro.gtpn.approximations import (activity_pair, geometric_frequency,
                                        littles_law_population,
                                        littles_law_residence)
@@ -39,6 +40,7 @@ from repro.gtpn.structure import (check_invariant, incidence_matrix,
 
 __all__ = [
     "AnalysisResult",
+    "Analyzer",
     "Guard",
     "Net",
     "PackedLayout",

@@ -25,6 +25,8 @@ import numpy as np
 from repro import obs
 from repro.gtpn.markov import stationary_distribution
 from repro.gtpn.net import Net
+from repro.gtpn.packed import (PackedSkeleton, SkeletonMismatch,
+                               packed_build, packed_retime)
 from repro.gtpn.reachability import DEFAULT_MAX_STATES, ReachabilityGraph
 from repro.perf.cache import Store, fingerprint_net, get_cache
 
@@ -129,21 +131,114 @@ class AnalysisResult:
         return 1.0 - self.mean_tokens(place) / tokens
 
 
+class Analyzer:
+    """Analyze a stream of nets, sharing structure work across them.
+
+    Chapter 6 re-solves the *same* GTPN over grids of component
+    timings.  Timing enters the models only through frequency weights
+    and firing times, so every grid point of one structure shares one
+    reachability graph and only the branch probabilities change.  A
+    packed build (:mod:`repro.gtpn.packed`) returns, beside the graph,
+    a :class:`~repro.gtpn.packed.PackedSkeleton` recording how every
+    branch probability was derived; re-timing it under a new net
+    re-evaluates only those factors, in the same floating-point order
+    as a build, so a re-timed graph is bit-identical to a built one.
+    A timing change that alters branch resolution (a delay, a guard, a
+    frequency crossing zero) raises
+    :class:`~repro.gtpn.packed.SkeletonMismatch`; the analyzer counts
+    it (``gtpn.skeleton_mismatch``) and rebuilds.
+
+    Per net, in order: look up the solved payload in the store; look
+    up the skeleton in this analyzer's own table, then in the store's
+    skeleton tier; re-time it, or build the graph; solve and store the
+    result.  Each analysis is one ``gtpn.analyze`` span whose
+    ``outcome`` is ``cache-hit``, ``retimed`` or ``built``, holding
+    one ``gtpn.retime`` or ``gtpn.build`` span and one ``gtpn.solve``
+    span.
+
+    ``cache`` is a private :class:`~repro.perf.cache.Store`, or
+    ``None`` for the process-wide one; either honours ``--no-cache``,
+    under which the own skeleton table still shares structure work for
+    as long as the analyzer lives.
+    """
+
+    def __init__(self, *, method: str = "auto",
+                 max_states: int = DEFAULT_MAX_STATES,
+                 cache: Store | None = None,
+                 reduction: str | None = None):
+        from repro import config
+        self.method = method
+        self.max_states = max_states
+        self.reduction = config.reduction() if reduction is None \
+            else config.normalize_reduction(reduction)
+        self.cache = cache if cache is not None else get_cache()
+        self._kind = f"packed:{self.reduction}"
+        #: structure fingerprint -> packed skeleton
+        self._skeletons: dict[str, PackedSkeleton] = {}
+
+    def analyze(self, net: Net) -> AnalysisResult:
+        """Solve one net; see :func:`analyze` for the contract."""
+        with obs.span("gtpn.analyze", net=net.name,
+                      method=self.method) as root:
+            fingerprint = fingerprint_net(net)
+            key = (fingerprint.structure, fingerprint.timing,
+                   self.method, self.reduction)
+            payload = self.cache.get(key)
+            if payload is not None:
+                net.validate()          # keep error behaviour of a solve
+                root.set(outcome="cache-hit")
+                return _rebind(net, payload)
+            graph, skeleton, outcome = self._graph(net,
+                                                   fingerprint.structure)
+            with obs.span("gtpn.solve", states=graph.state_count):
+                pi = stationary_distribution(
+                    graph, method=self.method,
+                    closed_classes=skeleton.closed_class_count())
+            result = AnalysisResult(net=net, graph=graph, pi=pi)
+            self.cache.put(key, _payload(result))
+            root.set(outcome=outcome, states=graph.state_count)
+            return result
+
+    def _graph(self, net: Net, structure: str,
+               ) -> tuple[ReachabilityGraph, PackedSkeleton, str]:
+        """Re-time the structure's skeleton, else build; returns the
+        graph, its skeleton and the ``gtpn.analyze`` outcome."""
+        skeleton = self._skeletons.get(structure)
+        if skeleton is None:
+            skeleton = self.cache.get_structure(structure,
+                                                kind=self._kind)
+        if skeleton is not None:
+            try:
+                graph = packed_retime(skeleton, net,
+                                      max_states=self.max_states)
+                self._skeletons[structure] = skeleton
+                return graph, skeleton, "retimed"
+            except SkeletonMismatch:
+                obs.add("gtpn.skeleton_mismatch")
+        with obs.span("gtpn.build"):
+            graph, skeleton = packed_build(
+                net, max_states=self.max_states, structure=structure,
+                reduction=self.reduction)
+        self._skeletons[structure] = skeleton
+        self.cache.put_structure(structure, skeleton, kind=self._kind)
+        return graph, skeleton, "built"
+
+
 def analyze(net: Net, *, method: str = "auto",
             max_states: int = DEFAULT_MAX_STATES,
             cache: Store | None = None,
             reduction: str | None = None) -> AnalysisResult:
     """Build the reachability graph of *net* and solve it exactly.
 
-    Solves are memoized in the analysis namespace of the
-    content-addressed store (:mod:`repro.perf.cache`) under the split
-    ``(structure, timing, method, reduction)`` key: a full hit returns
-    the stored graph and stationary vector re-bound to *net*, skipping
-    both state-space exploration and the Markov solve, while a
-    structure-only hit re-times the cached reachability skeleton
-    (:mod:`repro.gtpn.sweep`) and re-solves just the linear system —
-    bit-identical to a from-scratch build.  Pass ``cache`` to use a
-    private store; either store honours ``--no-cache`` /
+    A one-shot :class:`Analyzer`.  Solves are memoized in the analysis
+    namespace of the content-addressed store (:mod:`repro.perf.cache`)
+    under the split ``(structure, timing, method, reduction)`` key: a
+    full hit returns the stored graph and stationary vector re-bound
+    to *net*, skipping both state-space exploration and the Markov
+    solve, while a structure-only hit re-times the stored reachability
+    skeleton and re-solves just the linear system — bit-identical to a
+    from-scratch build.  ``cache`` is a private store, or ``None`` for
+    the process-wide one; either honours ``--no-cache`` /
     ``REPRO_NO_CACHE`` itself, and the global one ``REPRO_CACHE_DIR``.
     Cached payloads are shared — treat results as read-only.
 
@@ -151,36 +246,8 @@ def analyze(net: Net, *, method: str = "auto",
     ``"elim"``, ``"lump+elim"``); ``None`` resolves the configured mode
     (CLI ``--reduction`` > ``REPRO_REDUCTION`` > ``"none"``).
     """
-    from repro import config
-    if reduction is None:
-        reduction = config.reduction()
-    else:
-        reduction = config.normalize_reduction(reduction)
-    with obs.span("gtpn.analyze", net=net.name, method=method) as root:
-        store = cache if cache is not None else get_cache()
-        fingerprint = fingerprint_net(net)
-        key = (fingerprint.structure, fingerprint.timing, method,
-               reduction)
-        payload = store.get(key)
-        if payload is not None:
-            net.validate()          # keep error behaviour of a solve
-            root.set(outcome="cache-hit")
-            return _rebind(net, payload)
-        # share the reachability build across every net with this
-        # structure (sweeps re-time the cached skeleton; a timing
-        # change that alters branch resolution rebuilds)
-        from repro.gtpn.sweep import acquire_graph
-        with obs.span("gtpn.build"):
-            graph, closed = acquire_graph(net, fingerprint.structure,
-                                          max_states, store,
-                                          reduction=reduction)
-        with obs.span("gtpn.solve", states=graph.state_count):
-            pi = stationary_distribution(graph, method=method,
-                                         closed_classes=closed)
-        result = AnalysisResult(net=net, graph=graph, pi=pi)
-        store.put(key, _payload(result))
-        root.set(outcome="solved", states=graph.state_count)
-        return result
+    return Analyzer(method=method, max_states=max_states, cache=cache,
+                    reduction=reduction).analyze(net)
 
 
 def _payload(result: AnalysisResult) -> dict:

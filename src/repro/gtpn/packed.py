@@ -1271,7 +1271,8 @@ def packed_retime(skeleton: PackedSkeleton, net: Net, *,
     Bit-identical to a fresh :func:`packed_build` of *net* (both end in
     the same :func:`_evaluate` over the same arrays).  Raises
     :class:`SkeletonMismatch` when the skeleton does not apply; the
-    caller falls back to a full build.
+    caller falls back to a full build.  Only a replay that passes those
+    checks is traced, as one ``gtpn.retime`` span.
     """
     if (len(net.places) != skeleton.n_places
             or len(net.transitions) != skeleton.n_transitions):
@@ -1286,7 +1287,8 @@ def packed_retime(skeleton: PackedSkeleton, net: Net, *,
     freqs = np.array([t.frequency for t in net.transitions])
     if tuple(bool(f > 0) for f in freqs) != skeleton.freq_positive:
         raise SkeletonMismatch("frequency support changed")
-    return _materialize(skeleton, net, freqs)
+    with obs.span("gtpn.retime"):
+        return _materialize(skeleton, net, freqs)
 
 
 def _check_stochastic_csr(net: Net, matrix: sp.csr_matrix) -> None:

@@ -22,11 +22,13 @@ the thesis:
 5. repeat until successive S_d values agree within tolerance.
 
 Only the surrogate delays change between iterations, so the client and
-server nets keep their structure throughout: each side solves through a
-:class:`repro.gtpn.sweep.SweepSolver`, which explores the reachability
-graph once on the first iteration and re-times it on every later one —
-bit-identical to per-iteration :func:`repro.gtpn.analyze`, and
-independent of whether the global analysis cache is enabled.
+server nets keep their structure throughout: each side solves through
+its own :class:`repro.gtpn.Analyzer`, whose skeleton table explores
+the reachability graph once on the first iteration and re-times it on
+every later one — bit-identical to per-iteration
+:func:`repro.gtpn.analyze`, and independent of whether the store is
+enabled (under ``--no-cache`` the table is the only structure
+sharing).
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import ConvergenceError
-from repro.gtpn import AnalysisResult
-from repro.gtpn.sweep import SweepSolver
+from repro.gtpn import AnalysisResult, Analyzer
 from repro.models.nonlocal_client import build_nonlocal_client_net
 from repro.models.nonlocal_server import (NONLOCAL_SERVER_PARAMS,
                                           build_nonlocal_server_net,
@@ -124,17 +125,17 @@ def solve_nonlocal(architecture: Architecture, conversations: int,
     server_delay = initial_server_delay(architecture, compute_time)
     history: list[IterationStep] = []
     client_result = server_result = None
-    # one solver per side: iterations re-time the first iteration's
+    # one analyzer per side: iterations re-time the first iteration's
     # reachability skeleton instead of rebuilding it (see module
     # docstring); results are bit-identical to plain analyze()
-    client_solver = SweepSolver()
-    server_solver = SweepSolver()
+    client_analyzer = Analyzer()
+    server_analyzer = Analyzer()
 
     for iteration in range(1, max_iterations + 1):
         client_net = build_nonlocal_client_net(
             architecture, conversations, max(server_delay, _MIN_DELAY),
             hosts=hosts, params=client_params)
-        client_result = client_solver.analyze(client_net)
+        client_result = client_analyzer.analyze(client_net)
         throughput = client_result.throughput("lambda")
         if throughput <= 0:
             raise ConvergenceError(
@@ -145,7 +146,7 @@ def solve_nonlocal(architecture: Architecture, conversations: int,
         server_net = build_nonlocal_server_net(
             architecture, conversations, client_delay, compute_time,
             hosts=hosts, params=server_params)
-        server_result = server_solver.analyze(server_net)
+        server_result = server_analyzer.analyze(server_net)
         arrival_rate = server_result.resource_usage("lambda_in")
         if arrival_rate <= 0:
             raise ConvergenceError(

@@ -201,9 +201,9 @@ def solve_grid(points: list[tuple[Architecture, Mode, int, float]], *,
     results in input order — values are identical at any job count.
 
     Points of the same architecture share their reachability structure:
-    with the analysis cache enabled, each solve re-times the cached
-    skeleton (:mod:`repro.gtpn.sweep`) instead of re-exploring the
-    state space, so a grid costs one build per structure plus one
+    with the analysis cache enabled, each solve re-times the stored
+    skeleton (:class:`repro.gtpn.Analyzer`) instead of re-exploring
+    the state space, so a grid costs one build per structure plus one
     linear solve per point.  The persistent worker pool primes workers
     from the shared cache, so the fan-out shares skeletons too.
 

@@ -187,7 +187,7 @@ def _worker_init(cache_on: bool, cache_dir: str | None,
     else:
         _cache.configure_cache(directory=cache_dir)
     sink.set_spill_dir(spill_dir)
-    import repro.gtpn.sweep        # noqa: F401
+    import repro.gtpn.analysis     # noqa: F401
 
 
 def _get_pool(n_jobs: int):

@@ -5,8 +5,9 @@ of three key namespaces:
 
 * ``analysis`` — exact GTPN analysis payloads, keyed ``(structure,
   timing, method, reduction)`` on a net's split fingerprint (below),
-  and the reusable reachability skeletons (:mod:`repro.gtpn.sweep`),
-  keyed ``("skeleton", structure, kind)``;
+  and the reusable reachability skeletons of
+  :class:`repro.gtpn.Analyzer`, keyed ``("skeleton", structure,
+  kind)``;
 * ``solve`` — one operating point's throughput
   (:func:`repro.models.solve.solve`), keyed ``("solve", architecture,
   mode, conversations, compute_time, sync, reduction)``;
@@ -218,7 +219,7 @@ class Store:
         self._write_disk(key, namespace, value)
 
     def get_structure(self, structure_fp: str, kind: str):
-        """Cached sweep skeleton for a structure fingerprint, if any.
+        """Stored reachability skeleton for a structure, if any.
 
         ``kind`` separates skeleton families sharing one structure:
         ``"packed:<reduction>"``, one per reduction mode.

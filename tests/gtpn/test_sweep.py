@@ -1,20 +1,23 @@
-"""Tests for the structure-sharing sweep engine (repro.gtpn.sweep).
+"""Tests for structure sharing in the exact analyzer (repro.gtpn.Analyzer).
 
-The contract under test: re-timing a cached reachability skeleton is
+The contract under test: re-timing a stored reachability skeleton is
 bit-identical to a from-scratch build, every timing change that could
-alter branch resolution falls back to a full rebuild, and the split
-(structure, timing) cache key never lets two different timings collide.
+alter branch resolution falls back to a full rebuild (and is counted),
+the split (structure, timing) cache key never lets two different
+timings collide, and every analysis leaves one trace shape.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gtpn import Guard, Net, activity_pair, analyze
-from repro.gtpn.packed import packed_build, packed_retime
-from repro.gtpn.sweep import SkeletonMismatch, SweepSolver, sweep_analyze
-from repro.perf import set_cache_enabled
+from repro import config, obs
+from repro.gtpn import Analyzer, Guard, Net, activity_pair, analyze
+from repro.gtpn.packed import SkeletonMismatch, packed_build, packed_retime
+from repro.perf import Store
 from repro.perf.cache import fingerprint_net
 
 
@@ -22,9 +25,17 @@ from repro.perf.cache import fingerprint_net
 def _cache_off():
     """Isolate from the global cache: per-point analyze must take the
     plain build path so the comparison is against independent work."""
-    set_cache_enabled(False)
-    yield
-    set_cache_enabled(True)
+    with config.overrides(cache_enabled=False):
+        yield
+
+
+def _span_counts(recorder) -> Counter:
+    return Counter(span.name for span in recorder.spans)
+
+
+def _outcomes(recorder) -> list:
+    return [span.attrs.get("outcome") for span in recorder.spans
+            if span.name == "gtpn.analyze"]
 
 
 def _grid_net(f1: float, f2: float, mean: float) -> Net:
@@ -85,33 +96,37 @@ def test_structure_key_tracks_structure():
                           st.floats(2.0, 20.0)),
                 min_size=2, max_size=5))
 def test_property_sweep_matches_pointwise_analyze(grid):
-    solver = SweepSolver(cache=None)
+    analyzer = Analyzer()
+    recorder = obs.Recorder()
     for point in grid:
-        net = _grid_net(*point)
-        swept = solver.analyze(net)
+        with obs.recording(recorder):
+            swept = analyzer.analyze(_grid_net(*point))
         fresh = analyze(_grid_net(*point))
         _assert_identical(swept, fresh)
-    assert solver.stats.skeleton_builds == 1
-    assert solver.stats.points_retimed == len(grid) - 1
-    assert solver.stats.mismatches == 0
+    spans = _span_counts(recorder)
+    assert spans["gtpn.build"] == 1
+    assert spans["gtpn.retime"] == len(grid) - 1
+    assert "gtpn.skeleton_mismatch" not in recorder.counters
 
 
-def test_sweep_analyze_builder_grid_matches_pointwise():
+def test_analyze_records_retimes_as_retimes():
+    """One structure at three timings through plain ``analyze`` over
+    one store: the first point builds, the others re-time the stored
+    skeleton, and the trace says so."""
+    store = Store()
     grid = [(0.5, 0.5, 4.0), (0.3, 0.7, 6.0), (0.9, 0.1, 12.0)]
-    results = sweep_analyze(_grid_net, grid, cache=None)
-    for point, swept in zip(grid, results):
-        _assert_identical(swept, analyze(_grid_net(*point)))
-
-
-def test_sweep_analyze_parallel_matches_pointwise():
-    """The pooled path (workers return net-free payloads, the parent
-    re-binds) must be bit-identical to per-point analysis."""
-    grid = [(0.2 + 0.05 * i, 0.9 - 0.05 * i, 3.0 + i)
-            for i in range(8)]
-    results = sweep_analyze(_grid_net, grid, cache=None, jobs=2,
-                            oversubscribe=True)
-    for point, swept in zip(grid, results):
-        _assert_identical(swept, analyze(_grid_net(*point)))
+    with config.overrides(cache_enabled=True), \
+            obs.recording() as recorder:
+        results = [analyze(_grid_net(*point), cache=store)
+                   for point in grid]
+    spans = _span_counts(recorder)
+    assert spans["gtpn.build"] == 1
+    assert spans["gtpn.retime"] == 2
+    assert spans["gtpn.solve"] == 3
+    assert spans["gtpn.analyze"] == 3
+    assert _outcomes(recorder) == ["built", "retimed", "retimed"]
+    for point, result in zip(grid, results):
+        _assert_identical(result, analyze(_grid_net(*point)))
 
 
 # ----------------------------------------------------------------------
@@ -153,14 +168,36 @@ def test_retime_rejects_frequency_mask_flip():
 
 
 def test_solver_falls_back_to_rebuild_on_mismatch():
-    solver = SweepSolver(cache=None)
-    first = solver.analyze(_delay_net(2))
-    second = solver.analyze(_delay_net(3))     # Tb's delay changed
-    assert solver.stats.mismatches == 1
-    assert solver.stats.skeleton_builds == 2
+    analyzer = Analyzer()
+    with obs.recording() as recorder:
+        first = analyzer.analyze(_delay_net(2))
+        second = analyzer.analyze(_delay_net(3))     # Tb's delay changed
+    assert recorder.counters["gtpn.skeleton_mismatch"] == 1
+    spans = _span_counts(recorder)
+    assert spans["gtpn.build"] == 2 and spans["gtpn.retime"] == 0
+    assert _outcomes(recorder) == ["built", "built"]
     _assert_identical(first, analyze(_delay_net(2)))
     _assert_identical(second, analyze(_delay_net(3)))
     # the rebuilt skeleton serves later points with the new timing
-    third = solver.analyze(_delay_net(3))
-    assert solver.stats.points_retimed == 1
+    with obs.recording() as recorder:
+        third = analyzer.analyze(_delay_net(3))
+    assert _outcomes(recorder) == ["retimed"]
     _assert_identical(third, second)
+
+
+def test_analyze_counts_rebuild_on_mismatch_through_the_store():
+    """The same delay change through plain ``analyze`` over one shared
+    store: the stored skeleton is rejected, counted, and replaced."""
+    store = Store()
+    with config.overrides(cache_enabled=True), \
+            obs.recording() as recorder:
+        first = analyze(_delay_net(2), cache=store)
+        second = analyze(_delay_net(3), cache=store)
+        third = analyze(_delay_net(3, 0.25), cache=store)
+    assert recorder.counters["gtpn.skeleton_mismatch"] == 1
+    spans = _span_counts(recorder)
+    assert spans["gtpn.build"] == 2 and spans["gtpn.retime"] == 1
+    assert _outcomes(recorder) == ["built", "built", "retimed"]
+    _assert_identical(first, analyze(_delay_net(2)))
+    _assert_identical(second, analyze(_delay_net(3)))
+    _assert_identical(third, analyze(_delay_net(3, 0.25)))

@@ -113,3 +113,28 @@ class TestIterativeSolution:
         assert len(solution.history) == solution.iterations
         assert solution.round_trip_time == pytest.approx(
             2 / solution.throughput)
+
+    def test_no_cache_fixed_point_shares_one_skeleton_per_side(self):
+        """Under ``--no-cache`` the store neither answers nor
+        remembers, yet each side of the fixed point builds its
+        reachability graph once and re-times it on every later
+        iteration — with the value of a cache-on run, bit for bit."""
+        from collections import Counter
+
+        from repro import config, obs
+        from repro.perf.cache import configure_cache
+        store = configure_cache()           # a fresh, empty global store
+        try:
+            with config.overrides(cache_enabled=False), \
+                    obs.recording() as recorder:
+                uncached = solve_nonlocal(Architecture.III, 3, 500.0)
+            assert len(store) == 0
+            with config.overrides(cache_enabled=True):
+                cached = solve_nonlocal(Architecture.III, 3, 500.0)
+        finally:
+            configure_cache()
+        spans = Counter(span.name for span in recorder.spans)
+        assert spans["gtpn.build"] == 2
+        # two analyses per iteration, one client and one server
+        assert spans["gtpn.retime"] == 2 * uncached.iterations - 2
+        assert uncached.throughput == cached.throughput

@@ -2,11 +2,13 @@
 the fingerprint must key on structure, not names, and every namespace
 follows one LRU, disk and kill-switch rule."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.gtpn import Guard, Net, analyze
+from repro.gtpn import Analyzer, Guard, Net, analyze
 from repro.models import Architecture, build_local_net
 from repro.perf import Store, cache_enabled, fingerprint_net, \
     set_cache_enabled
@@ -87,7 +89,6 @@ def _guarded_net(guard=None):
 
 
 def test_fingerprint_covers_guard():
-    from repro.gtpn.sweep import SweepSolver
     guards = [None, Guard(idle=("back",)), Guard(empty=("Done",))]
     fps = [fingerprint_net(_guarded_net(g)) for g in guards]
     assert len({fp.structure for fp in fps}) == 3
@@ -104,13 +105,15 @@ def test_fingerprint_covers_guard():
         [None, ((), (1,)), ((1,), ())]
     assert results[0].throughput() != results[1].throughput()
 
-    # a sweep solver never re-times one guard's skeleton for another
-    solver = SweepSolver(cache=None)
-    for guard, fresh in zip(guards, results):
-        swept = solver.analyze(_guarded_net(guard))
-        assert swept.throughput() == fresh.throughput()
-    assert solver.stats.skeleton_builds == 3
-    assert solver.stats.points_retimed == 0
+    # an analyzer never re-times one guard's skeleton for another
+    analyzer = Analyzer(cache=Store())
+    with obs.recording() as recorder:
+        for guard, fresh in zip(guards, results):
+            swept = analyzer.analyze(_guarded_net(guard))
+            assert swept.throughput() == fresh.throughput()
+    spans = Counter(span.name for span in recorder.spans)
+    assert spans["gtpn.build"] == 3
+    assert spans["gtpn.retime"] == 0
 
 
 def test_disk_tier_shares_solves(tmp_path):
