@@ -21,12 +21,12 @@ from collections import Counter
 
 import numpy as np
 
-from repro import obs
+from repro import config, obs
 from repro.experiments.figures import figure_6_18
 from repro.gtpn import Analyzer, analyze
 from repro.models import Architecture, build_local_net
 from repro.obs.clock import perf_now
-from repro.perf import Store, get_cache, set_cache_enabled
+from repro.perf import Store, get_cache
 from repro.perf.backends import last_map_info
 
 #: Required wall-clock improvement of the winning fast path.
@@ -88,8 +88,7 @@ def test_bench_sweep_vs_pointwise_analyze(perf_record):
     ``MIN_SWEEP_SPEEDUP`` with bit-identical results.  Both paths run
     with the store off and are traced alike, so the win measured is
     structure sharing alone."""
-    set_cache_enabled(False)
-    try:
+    with config.overrides(cache=False):
         pointwise, pointwise_s, _ = _traced_run("pointwise", lambda: [
             analyze(build_local_net(Architecture.II, 3, x))
             for x in _SWEEP_COMPUTE_TIMES])
@@ -97,8 +96,6 @@ def test_bench_sweep_vs_pointwise_analyze(perf_record):
         swept, sweep_s, trace = _traced_run("sweep", lambda: [
             analyzer.analyze(build_local_net(Architecture.II, 3, x))
             for x in _SWEEP_COMPUTE_TIMES])
-    finally:
-        set_cache_enabled(True)
 
     speedup = pointwise_s / sweep_s
     fields = _sweep_fields(trace)
@@ -147,16 +144,13 @@ def test_bench_figure_6_18_serial_parallel_warm(perf_record):
     # whether it can pay off, and the record reports its decision
     jobs = 4
 
-    set_cache_enabled(False)
-    try:
+    with config.overrides(cache=False):
         get_cache().clear()
         serial, serial_s = _timed(figure_6_18, jobs=1, **_FIGURE_GRID)
         get_cache().clear()
         parallel, parallel_s = _timed(figure_6_18, jobs=jobs,
                                       **_FIGURE_GRID)
         pool_info = last_map_info()
-    finally:
-        set_cache_enabled(True)
 
     from repro.perf import configure_cache
     configure_cache()               # fresh global store
@@ -316,13 +310,10 @@ def test_bench_lumped_flagship_point(perf_record):
     solve) inside the wall budget when lumping is enabled."""
     from repro.models import build_replicated_local_net
 
-    set_cache_enabled(False)
-    try:
+    with config.overrides(cache=False):
         result, total_s = _timed(
             lambda: analyze(build_replicated_local_net(Architecture.II, 4),
                             max_states=5_000_000, reduction="lump"))
-    finally:
-        set_cache_enabled(True)
 
     full_states = _REPLICATED_N4_FULL_STATES
     if os.environ.get("REPRO_BENCH_HEAVY"):

@@ -10,9 +10,10 @@ registered experiment:
     result.artifact.render()
     result.obs_summary["counters"]
 
-Keyword arguments mirror the CLI flags exactly (``seed`` ↔ ``--seed``,
-``jobs`` ↔ ``--jobs``, ``cache=False`` ↔ ``--no-cache``) and are
-applied through scoped
+Keyword arguments are the knobs of :data:`repro.config.KNOBS` and
+mirror the CLI flags exactly (``seed`` ↔ ``--seed``, ``jobs`` ↔
+``--jobs``, ``cache=False`` ↔ ``--no-cache``, ``sync`` ↔ ``--sync``,
+...).  They are applied through scoped
 :func:`repro.config.overrides`, so the run sees the same precedence as
 a CLI invocation and nothing leaks afterwards.  ``fault_plan``
 installs a default :class:`~repro.faults.plan.FaultPlan` every
@@ -138,44 +139,14 @@ def run_traced(label: str, fn: Callable[[], Any], *,
     return value, summary, (str(chrome_path), str(jsonl_path))
 
 
-def _run_overrides(*, seed: int | None = None, jobs: int | None = None,
-                   cache: bool | None = None, fault_plan=None,
-                   duration: float | None = None,
-                   arrival_rate: float | None = None,
-                   deadline: float | None = None,
-                   queue_limit: int | None = None) -> dict:
-    """Normalise front-door keywords into :func:`config.overrides`
-    keywords, dropping every ``None`` ("whatever the surrounding
-    configuration says")."""
-    kwargs: dict = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    if jobs is not None:
-        kwargs["jobs"] = jobs
-    if cache is not None:
-        kwargs["cache_enabled"] = cache
-    if fault_plan is not None:
-        kwargs["fault_plan"] = fault_plan
-    if duration is not None:
-        kwargs["duration"] = duration
-    if arrival_rate is not None:
-        kwargs["arrival_rate"] = arrival_rate
-    if deadline is not None:
-        kwargs["deadline"] = deadline
-    if queue_limit is not None:
-        kwargs["queue_limit"] = queue_limit
-    return kwargs
-
-
 def _execute_run(experiment_id: str, run_kwargs: dict,
                  trace: str | Path | None = None) -> ExperimentResult:
     """Execute one experiment under scoped configuration — the core
     :func:`run_experiment` and :func:`repro.service.serve_experiment`
     share.
 
-    *run_kwargs* are :func:`config.overrides` keywords (the shape
-    :func:`_run_overrides` produces).  This is the only place an
-    experiment actually runs.
+    *run_kwargs* are :func:`config.overrides` keywords.  This is the
+    only place an experiment actually runs.
     """
     from repro.experiments.registry import get_experiment
     experiment = get_experiment(experiment_id)
@@ -199,32 +170,21 @@ def _execute_run(experiment_id: str, run_kwargs: dict,
         trace_paths=trace_paths, extras=extras)
 
 
-def run_experiment(experiment_id: str, *, seed: int | None = None,
-                   jobs: int | None = None, cache: bool | None = None,
-                   fault_plan=None, duration: float | None = None,
-                   arrival_rate: float | None = None,
-                   deadline: float | None = None,
-                   queue_limit: int | None = None,
-                   trace: str | Path | None = None) -> ExperimentResult:
+def run_experiment(experiment_id: str, *,
+                   trace: str | Path | None = None,
+                   **knobs) -> ExperimentResult:
     """Run one registered experiment with scoped configuration.
 
-    ``seed``/``jobs``/``cache`` default to ``None`` =
-    "whatever the surrounding CLI/env configuration says"; a
-    non-``None`` value takes CLI precedence for this run only.
-    ``fault_plan`` makes every kernel-simulator system in the run
-    honour the plan (chaos through the front door).  ``duration``/
-    ``arrival_rate``/``deadline``/``queue_limit`` are the open-arrival
-    traffic knobs (↔ ``--duration`` etc.), honoured by the
-    ``traffic-*`` experiments.  ``trace`` writes the Chrome-trace +
-    JSONL pair.
+    *knobs* are the settable rows of :data:`repro.config.KNOBS`
+    (``seed``, ``jobs``, ``cache``, ``fault_plan``, ``sync``,
+    ``duration``, ``arrival_rate``, ``deadline``, ``queue_limit``).
+    Each defaults to "whatever the surrounding CLI/env configuration
+    says"; a non-``None`` value takes CLI precedence for this run
+    only.  ``fault_plan`` makes every kernel-simulator system in the
+    run honour the plan (chaos through the front door).  ``trace``
+    writes the Chrome-trace + JSONL pair.
 
     Synchronous, in this thread; never reads the store's ``result``
     namespace.
     """
-    return _execute_run(
-        experiment_id,
-        _run_overrides(seed=seed, jobs=jobs, cache=cache,
-                       fault_plan=fault_plan, duration=duration,
-                       arrival_rate=arrival_rate, deadline=deadline,
-                       queue_limit=queue_limit),
-        trace=trace)
+    return _execute_run(experiment_id, knobs, trace=trace)

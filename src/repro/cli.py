@@ -28,15 +28,17 @@ store's ``result`` namespace when it is there, else executed and
 stored.
 ``--seed N`` sets the default seed of every stochastic component
 (``REPRO_SEED`` sets the same default); runs are deterministic either
-way, the seed just selects which deterministic run.  Flag/env/default
-precedence for all of these is resolved in :mod:`repro.config`.
+way, the seed just selects which deterministic run.  These root flags
+are read off the knob table of :mod:`repro.config`, which also
+resolves their flag/env/default precedence.
 ``--trace PATH`` records the run with :mod:`repro.obs` and writes a
 Chrome-trace JSON at PATH plus the versioned JSONL stream next to it;
 ``repro stats`` summarises such a JSONL file afterwards.
 ``--profile`` wraps each experiment in :mod:`cProfile` and writes a
 pstats dump plus a top-20-by-cumulative-time summary next to the
 experiment output (the ``--save`` directory when given, else the
-working directory).
+working directory).  ``list``, ``solve``, ``scoreboard``, ``serve``
+and ``stats`` do neither, and reject both flags.
 
 Every experiment execution goes through
 :func:`repro.api.run_experiment` — the CLI is a thin argument parser
@@ -346,9 +348,9 @@ def _cmd_scoreboard(_args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     from repro.obs.export import read_jsonl, validate_jsonl
-    header = validate_jsonl(args.trace)
-    _header, records = read_jsonl(args.trace)
-    print(f"{args.trace}: schema {header['schema']}")
+    header = validate_jsonl(args.path)
+    _header, records = read_jsonl(args.path)
+    print(f"{args.path}: schema {header['schema']}")
     run_config = header.get("config") or {}
     if run_config:
         print("config: " + ", ".join(
@@ -425,51 +427,27 @@ def _reconcile(work_busy: dict, ledger_busy: dict,
     return problems
 
 
+#: Commands that neither trace nor profile: ``--trace`` / ``--profile``
+#: with one of them is a parser error rather than a silent no-op.
+_UNTRACED = ("list", "solve", "scoreboard", "serve", "stats")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Hardware Support for Interprocess Communication "
                     "— reproduction toolkit")
-    parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes for sweep experiments (default: "
-             "REPRO_JOBS or serial); results are identical at any N")
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the content-addressed store of analyses, solves "
-             "and results")
-    parser.add_argument(
-        "--seed", type=int, default=None, metavar="N",
-        help="default seed for every stochastic component (default: "
-             "REPRO_SEED or each component's own)")
-    parser.add_argument(
-        "--reduction", metavar="MODE", default=None,
-        help="opt-in state-space reduction for exact solves: none, "
-             "lump, elim, or lump+elim (default: REPRO_REDUCTION or "
-             "none; the default exact path is bit-identical)")
-    parser.add_argument(
-        "--sync", metavar="P", default=None,
-        help="synchronization primitive costing the architecture II "
-             "software queue path: tas, cas, llsc, or htm (default: "
-             "REPRO_SYNC or tas; architectures I/III/IV are "
-             "unaffected)")
-    parser.add_argument(
-        "--duration", metavar="US", default=None,
-        help="open-arrival measurement window in simulated us "
-             "(default: REPRO_DURATION or each experiment's own)")
-    parser.add_argument(
-        "--arrival-rate", metavar="R", default=None,
-        help="offered arrival rate in messages per simulated ms "
-             "(default: REPRO_ARRIVAL_RATE or each experiment's own)")
-    parser.add_argument(
-        "--deadline", metavar="US", default=None,
-        help="per-message deadline in simulated us; completions past "
-             "it count as deadline misses (default: REPRO_DEADLINE "
-             "or none)")
-    parser.add_argument(
-        "--queue-limit", metavar="N", default=None,
-        help="bounded MP ingress queue length for open-arrival runs "
-             "(default: REPRO_QUEUE_LIMIT or each experiment's own)")
+    for knob in config.KNOBS.values():
+        if knob.flag is None:
+            continue
+        flag, _, metavar = knob.flag.partition(" ")
+        if metavar:
+            parser.add_argument(flag, dest=knob.name, metavar=metavar,
+                                help=knob.help)
+        else:
+            parser.add_argument(flag, dest=knob.name,
+                                action="store_const", const=False,
+                                help=knob.help)
     parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="record the run with repro.obs: Chrome-trace JSON at "
@@ -639,9 +617,9 @@ def build_parser() -> argparse.ArgumentParser:
         "stats",
         help="summarise a recorded JSONL trace (top spans, counters, "
              "busy reconciliation)")
-    p_stats.add_argument("trace", help="JSONL trace file (--trace "
-                                       "writes one next to the Chrome "
-                                       "trace)")
+    p_stats.add_argument("path", metavar="trace",
+                         help="JSONL trace file (--trace "
+                              "writes one next to the Chrome trace)")
     p_stats.add_argument("--top", type=int, default=10, metavar="N",
                          help="span names to show (default 10)")
     p_stats.set_defaults(fn=_cmd_stats)
@@ -651,31 +629,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs is not None:
-        if args.jobs < 1:
-            parser.error("--jobs must be >= 1")
-        config.set_jobs(args.jobs)
-    if args.no_cache:
-        config.set_cache_enabled(False)
-    if args.seed is not None:
-        config.set_seed(args.seed)
-    if args.reduction is not None:
-        try:
-            config.set_reduction(args.reduction)
-        except ReproError as error:
-            parser.error(str(error))
-    if args.sync is not None:
-        try:
-            config.set_sync(args.sync)
-        except ReproError as error:
-            parser.error(str(error))
-    for value, setter in ((args.duration, config.set_duration),
-                          (args.arrival_rate, config.set_arrival_rate),
-                          (args.deadline, config.set_deadline),
-                          (args.queue_limit, config.set_queue_limit)):
+    if args.command in _UNTRACED:
+        for flag in ("--trace", "--profile"):
+            if getattr(args, flag[2:]):
+                parser.error(f"{flag} does not apply to "
+                             f"'repro {args.command}'")
+    for knob in config.KNOBS.values():
+        value = getattr(args, knob.name, None)
         if value is not None:
             try:
-                setter(value)
+                config.set_knob(knob.name, value,
+                                source=knob.flag.split()[0])
             except ReproError as error:
                 parser.error(str(error))
     try:

@@ -26,7 +26,8 @@ from repro import obs
 from repro.gtpn.markov import stationary_distribution
 from repro.gtpn.net import Net
 from repro.gtpn.packed import (PackedSkeleton, SkeletonMismatch,
-                               packed_build, packed_retime)
+                               normalize_reduction, packed_build,
+                               packed_retime)
 from repro.gtpn.reachability import DEFAULT_MAX_STATES, ReachabilityGraph
 from repro.perf.cache import Store, fingerprint_net, get_cache
 
@@ -162,15 +163,10 @@ class Analyzer:
     as long as the analyzer lives.
     """
 
-    def __init__(self, *, method: str = "auto",
-                 max_states: int = DEFAULT_MAX_STATES,
-                 cache: Store | None = None,
-                 reduction: str | None = None):
-        from repro import config
-        self.method = method
+    def __init__(self, *, max_states: int = DEFAULT_MAX_STATES,
+                 cache: Store | None = None, reduction: str = "none"):
         self.max_states = max_states
-        self.reduction = config.reduction() if reduction is None \
-            else config.normalize_reduction(reduction)
+        self.reduction = normalize_reduction(reduction)
         self.cache = cache if cache is not None else get_cache()
         self._kind = f"packed:{self.reduction}"
         #: structure fingerprint -> packed skeleton
@@ -178,11 +174,10 @@ class Analyzer:
 
     def analyze(self, net: Net) -> AnalysisResult:
         """Solve one net; see :func:`analyze` for the contract."""
-        with obs.span("gtpn.analyze", net=net.name,
-                      method=self.method) as root:
+        with obs.span("gtpn.analyze", net=net.name) as root:
             fingerprint = fingerprint_net(net)
             key = (fingerprint.structure, fingerprint.timing,
-                   self.method, self.reduction)
+                   self.reduction)
             payload = self.cache.get(key)
             if payload is not None:
                 net.validate()          # keep error behaviour of a solve
@@ -192,8 +187,7 @@ class Analyzer:
                                                    fingerprint.structure)
             with obs.span("gtpn.solve", states=graph.state_count):
                 pi = stationary_distribution(
-                    graph, method=self.method,
-                    closed_classes=skeleton.closed_class_count())
+                    graph, closed_classes=skeleton.closed_class_count())
             result = AnalysisResult(net=net, graph=graph, pi=pi)
             self.cache.put(key, _payload(result))
             root.set(outcome=outcome, states=graph.state_count)
@@ -224,15 +218,14 @@ class Analyzer:
         return graph, skeleton, "built"
 
 
-def analyze(net: Net, *, method: str = "auto",
-            max_states: int = DEFAULT_MAX_STATES,
+def analyze(net: Net, *, max_states: int = DEFAULT_MAX_STATES,
             cache: Store | None = None,
-            reduction: str | None = None) -> AnalysisResult:
+            reduction: str = "none") -> AnalysisResult:
     """Build the reachability graph of *net* and solve it exactly.
 
     A one-shot :class:`Analyzer`.  Solves are memoized in the analysis
     namespace of the content-addressed store (:mod:`repro.perf.cache`)
-    under the split ``(structure, timing, method, reduction)`` key: a
+    under the split ``(structure, timing, reduction)`` key: a
     full hit returns the stored graph and stationary vector re-bound
     to *net*, skipping both state-space exploration and the Markov
     solve, while a structure-only hit re-times the stored reachability
@@ -243,10 +236,11 @@ def analyze(net: Net, *, method: str = "auto",
     Cached payloads are shared — treat results as read-only.
 
     ``reduction`` selects opt-in state-space reduction (``"lump"``,
-    ``"elim"``, ``"lump+elim"``); ``None`` resolves the configured mode
-    (CLI ``--reduction`` > ``REPRO_REDUCTION`` > ``"none"``).
+    ``"elim"``, ``"lump+elim"``; default ``"none"``).  Only a net
+    that declares a symmetry (:meth:`Net.declare_symmetry`) has
+    anything to lump.
     """
-    return Analyzer(method=method, max_states=max_states, cache=cache,
+    return Analyzer(max_states=max_states, cache=cache,
                     reduction=reduction).analyze(net)
 
 

@@ -65,7 +65,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from repro import obs
-from repro.errors import AnalysisError, StateSpaceLimitError
+from repro.errors import AnalysisError, ConfigError, StateSpaceLimitError
 from repro.gtpn.net import Net
 from repro.gtpn.state import MAX_IMMEDIATE_ROUNDS, State
 
@@ -79,6 +79,31 @@ MAX_CLASS_MEMBERS = 40          # positive-frequency members per class
 #: settle (items × members × places) while keeping per-wave numpy
 #: call overhead amortized over thousands of states.
 WAVE_CHUNK = 8192
+
+
+#: Recognized reduction modes, in canonical spelling.  ``lump`` folds
+#: states related by a declared client symmetry onto one representative
+#: (:meth:`repro.gtpn.net.Net.declare_symmetry`); ``elim`` drops the
+#: transient states the chain leaves during initial settling.  Both are
+#: exact for steady-state measures and both are **off** by default so
+#: the exact path stays bit-identical to the committed baselines.
+VALID_REDUCTIONS = ("none", "lump", "elim", "lump+elim")
+
+
+def normalize_reduction(value, source: str = "reduction") -> str:
+    """Canonical reduction mode, or :class:`ConfigError` for junk.
+
+    Accepts any ``+``-joined combination of ``lump`` / ``elim`` in any
+    order (``elim+lump`` -> ``lump+elim``), plus ``none``.
+    """
+    parts = [p for p in str(value).strip().lower().split("+") if p]
+    if parts in ([], ["none"]):
+        return "none"
+    if not set(parts) <= {"lump", "elim"}:
+        raise ConfigError(
+            f"{source} must be one of {', '.join(VALID_REDUCTIONS)}, "
+            f"got {value!r}")
+    return "+".join(m for m in ("lump", "elim") if m in parts)
 
 
 class SkeletonMismatch(Exception):

@@ -193,22 +193,18 @@ class ReachabilityGraph:
 
 def build_reachability_graph(net: Net,
                              max_states: int = DEFAULT_MAX_STATES,
-                             *, reduction: str | None = None,
+                             *, reduction: str = "none",
                              ) -> ReachabilityGraph:
     """Explore every reachable state of *net* by breadth-first search.
 
-    Runs the packed array engine.  ``reduction=None`` resolves the
-    configured mode (:func:`repro.config.reduction`).
+    Runs the packed array engine under *reduction* (one of
+    :data:`repro.gtpn.packed.VALID_REDUCTIONS`).
     """
-    from repro import config
     from repro.gtpn import packed
 
-    if reduction is None:
-        reduction = config.reduction()
-    else:
-        reduction = config.normalize_reduction(reduction)
     graph, _skeleton = packed.packed_build(
-        net, max_states=max_states, reduction=reduction)
+        net, max_states=max_states,
+        reduction=packed.normalize_reduction(reduction))
     return graph
 
 

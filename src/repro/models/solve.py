@@ -59,10 +59,9 @@ def solve(architecture: Architecture, mode: Mode, conversations: int,
         raise ModelError("need at least one conversation")
     if compute_time < 0:
         raise ModelError("compute time must be non-negative")
-    from repro import config
     sync = _resolve_sync(architecture, sync)
     key = ("solve", architecture, mode, conversations,
-           float(compute_time), sync, config.reduction())
+           float(compute_time), sync)
     store = get_cache()
     throughput = store.get(key)
     if throughput is None:
@@ -84,14 +83,10 @@ def _resolve_sync(architecture: Architecture,
 
 
 def _solve_point(architecture: Architecture, mode: Mode,
-                 conversations: int, compute_time: float, sync: str,
-                 reduction: str) -> float:
-    """Throughput of one point under *reduction*.
-
-    *reduction* is the resolved ``config.reduction()``, which the
-    non-local fixed point's solvers also resolve; it is an argument so
-    that it is part of the store's ``solve`` key.
-    """
+                 conversations: int, compute_time: float,
+                 sync: str) -> float:
+    """Throughput of one point; the arguments are the store's
+    ``solve`` key."""
     if mode is Mode.LOCAL:
         params = None
         if sync != "tas":
@@ -99,7 +94,7 @@ def _solve_point(architecture: Architecture, mode: Mode,
             params = syncmodel.local_params(sync)
         net = build_local_net(architecture, conversations, compute_time,
                               params=params)
-        return analyze(net, reduction=reduction).throughput()
+        return analyze(net).throughput()
     client_params = server_params = None
     if sync != "tas":
         from repro.models import syncmodel

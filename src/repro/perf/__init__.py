@@ -17,25 +17,19 @@ Both are policy-free utilities: they know nothing about GTPN
 internals beyond the duck-typed net attributes the fingerprint reads.
 """
 
-from repro.perf.backends import (MapInfo, default_jobs, last_map_info,
-                                 map_sweep, plan_jobs, set_default_jobs,
-                                 shutdown_pool)
-from repro.perf.cache import (Store, cache_enabled, configure_cache,
-                              fingerprint_net, get_cache,
-                              set_cache_enabled)
+from repro.perf.backends import (MapInfo, last_map_info, map_sweep,
+                                 plan_jobs, shutdown_pool)
+from repro.perf.cache import (Store, configure_cache, fingerprint_net,
+                              get_cache)
 
 __all__ = [
     "MapInfo",
     "Store",
-    "cache_enabled",
     "configure_cache",
-    "default_jobs",
     "fingerprint_net",
     "get_cache",
     "last_map_info",
     "map_sweep",
     "plan_jobs",
-    "set_cache_enabled",
-    "set_default_jobs",
     "shutdown_pool",
 ]

@@ -69,21 +69,6 @@ _POOL_UNAVAILABLE = (OSError, pickle.PicklingError, ImportError,
                      TypeError, AttributeError)
 
 
-def set_default_jobs(jobs: int | None) -> None:
-    """Set the process-wide default worker count (None = env/serial)."""
-    config.set_jobs(jobs)
-
-
-def default_jobs() -> int:
-    """Resolve the default worker count (explicit > REPRO_JOBS > 1).
-
-    A malformed ``REPRO_JOBS`` raises :class:`ConfigError` instead of
-    being silently coerced: a user who exported it wanted parallelism,
-    and quietly running serial hides the typo.
-    """
-    return config.jobs()
-
-
 @dataclass(frozen=True)
 class MapInfo:
     """How the most recent :func:`map_sweep` actually executed."""
@@ -117,8 +102,8 @@ def plan_jobs(n_items: int, jobs: int | None = None, *,
     *reason* says why.  ``oversubscribe=True`` skips the single-CPU
     check (tests exercise the pool protocol on one-core machines).
     """
-    n_jobs = default_jobs() if jobs is None else config.validate_jobs(
-        jobs, "jobs")
+    n_jobs = config.jobs() if jobs is None else \
+        config.validate_positive_int(jobs, "jobs")
     if n_jobs <= 1:
         return 1, "serial requested (jobs=1)"
     if n_items <= 1:
@@ -153,7 +138,7 @@ def _prime_shared_cache() -> tuple[bool, str | None]:
     """
     global _shared_cache_dir
     from repro.perf import cache as _cache
-    if not _cache.cache_enabled():
+    if not config.cache_enabled():
         return False, None
     store = _cache.get_cache()
     if store.directory is None:
@@ -183,7 +168,7 @@ def _worker_init(cache_on: bool, cache_dir: str | None,
     trace setup and pay the heavy imports before the first task."""
     from repro.perf import cache as _cache
     if not cache_on:
-        _cache.set_cache_enabled(False)
+        config.set_knob("cache", False)
     else:
         _cache.configure_cache(directory=cache_dir)
     sink.set_spill_dir(spill_dir)
@@ -296,7 +281,8 @@ def map_sweep(fn: Callable[..., R], items: Iterable[T], *,
 
     ``star=True`` unpacks each item as positional arguments
     (``fn(*item)``); otherwise each item is passed whole (``fn(item)``).
-    ``jobs=None`` uses :func:`default_jobs`.  The sweep is planned via
+    ``jobs=None`` uses :func:`repro.config.jobs` (``--jobs`` /
+    ``REPRO_JOBS``, else serial).  The sweep is planned via
     :func:`plan_jobs` (serial fallback on small grids or one CPU) and
     chunked to ``ceil(items / (workers * CHUNK_WAVES))`` unless
     *chunksize* is given; :func:`last_map_info` reports what happened.
@@ -307,8 +293,8 @@ def map_sweep(fn: Callable[..., R], items: Iterable[T], *,
     """
     global _last_map_info
     work: Sequence[T] = list(items)
-    jobs_requested = default_jobs() if jobs is None else \
-        config.validate_jobs(jobs, "jobs")
+    jobs_requested = config.jobs() if jobs is None else \
+        config.validate_positive_int(jobs, "jobs")
     n_jobs, reason = plan_jobs(len(work), jobs_requested,
                                oversubscribe=oversubscribe)
     with obs.span("pool.map", items=len(work),

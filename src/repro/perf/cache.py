@@ -4,15 +4,17 @@ Every value the toolkit memoizes lives in one :class:`Store`, under one
 of three key namespaces:
 
 * ``analysis`` — exact GTPN analysis payloads, keyed ``(structure,
-  timing, method, reduction)`` on a net's split fingerprint (below),
+  timing, reduction)`` on a net's split fingerprint (below),
   and the reusable reachability skeletons of
   :class:`repro.gtpn.Analyzer`, keyed ``("skeleton", structure,
   kind)``;
 * ``solve`` — one operating point's throughput
   (:func:`repro.models.solve.solve`), keyed ``("solve", architecture,
-  mode, conversations, compute_time, sync, reduction)``;
+  mode, conversations, compute_time, sync)``;
 * ``result`` — one whole experiment result of ``repro serve``
-  (:mod:`repro.service`), keyed ``("result", JobKey.digest)``.
+  (:mod:`repro.service`), keyed ``("result", JobKey.digest)``, one
+  digest over the experiment id and every value-changing knob of
+  :data:`repro.config.KNOBS`.
 
 A net is fingerprinted by a *split key* (:class:`NetFingerprint`):
 
@@ -76,16 +78,6 @@ _UNREADABLE = (OSError, EOFError, ValueError, pickle.UnpicklingError,
 #: What writing a disk entry raises when the value cannot be spilled:
 #: a full or read-only disk, or a value that does not pickle.
 _UNWRITABLE = (OSError, pickle.PicklingError, TypeError, AttributeError)
-
-
-def set_cache_enabled(enabled: bool) -> None:
-    """Globally enable/disable the store (CLI ``--no-cache``)."""
-    config.set_cache_enabled(enabled)
-
-
-def cache_enabled() -> bool:
-    """Resolved cache switch: either disable (CLI or env) wins."""
-    return config.cache_enabled()
 
 
 # ----------------------------------------------------------------------

@@ -9,11 +9,12 @@ conversation workloads, and the fault schedules of
 :mod:`repro.faults` — consults when its caller did not pass an
 explicit seed.
 
-Resolution order (normalised in :mod:`repro.config` alongside the
-other knobs):
+Resolution order (the ``seed`` row of :data:`repro.config.KNOBS`
+covers steps 2 and 3):
 
 1. an explicit ``seed=`` argument at the call site;
-2. :func:`set_default_seed` (wired to the CLI ``--seed`` flag);
+2. a seed set for the run (the CLI ``--seed`` flag,
+   ``config.set_knob("seed", ...)`` or a scoped override);
 3. the ``REPRO_SEED`` environment variable;
 4. the component's historical default (``0`` for the conversation
    workload and fault schedules, ``None`` — system entropy — for the
@@ -23,16 +24,6 @@ other knobs):
 from __future__ import annotations
 
 from repro import config
-
-
-def set_default_seed(seed: int | None) -> None:
-    """Install the process-wide default seed (``None`` clears it)."""
-    config.set_seed(seed)
-
-
-def default_seed() -> int | None:
-    """The configured default seed (explicit > ``REPRO_SEED`` > None)."""
-    return config.seed()
 
 
 def resolve_seed(explicit: int | None,

@@ -9,18 +9,17 @@ experiment (:func:`repro.api._execute_run`, the same core as
 :func:`repro.api.run_experiment`) and stores the result.
 ``REPRO_CACHE_DIR`` makes stored results survive restarts.  Because
 the probe happens under the run's configuration, the store's kill
-switch — ``--no-cache``, or ``cache_enabled=False`` — keeps that run
+switch — ``--no-cache``, or ``cache=False`` — keeps that run
 from reading or writing it.
 
-:class:`JobKey` is the result namespace's content address, split
-**structure × timing** exactly like the analysis cache's
-:class:`~repro.perf.cache.NetFingerprint`: the *structure* half names
-what system is evaluated (experiment id, reduction mode, sync
-primitive, fault plan, queue limit), the *timing* half the stochastic
-and load parameters (seed, duration, arrival rate, deadline).  Equal
-keys mean the same computation.  Execution-only knobs (``jobs``,
-``cache``) are deliberately **excluded**: they change wall-clock time
-and scheduling, never values (the bit-identity contract the backends
+:class:`JobKey` is the result namespace's content address: one digest
+over the experiment id and the resolved value of every knob that can
+change a value (the ``changes_values`` rows of
+:data:`repro.config.KNOBS`: seed, fault plan, sync primitive and the
+traffic knobs).  Equal keys mean the same computation.
+Execution-only knobs (``jobs``, the store switch and its directory)
+are deliberately **excluded**: they change wall-clock time and
+scheduling, never values (the bit-identity contract the backends
 suite pins), so they must not fragment the address space.
 """
 
@@ -33,37 +32,14 @@ from repro import config, obs
 from repro.perf.cache import get_cache
 
 
-def _digest(parts: tuple) -> str:
-    """Stable short hex digest of a tuple of primitives."""
-    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class JobKey:
-    """Content address of one experiment evaluation, structure×timing.
+    """Content address of one experiment evaluation."""
 
-    ``digest`` is the store's file-name-safe address; the split halves
-    are kept separate so logs can say *which half* differed between
-    two near-miss runs.
-    """
-
-    structure: tuple                # (experiment_id, reduction, sync, …)
-    timing: tuple                   # (seed, duration, rate, deadline)
-
-    @property
-    def structure_digest(self) -> str:
-        return _digest(self.structure)
-
-    @property
-    def timing_digest(self) -> str:
-        return _digest(self.timing)
-
-    @property
-    def digest(self) -> str:
-        return _digest((self.structure, self.timing))
+    digest: str         # 16 hex digits, the store's file-name-safe key
 
     def __str__(self) -> str:
-        return f"{self.structure_digest}x{self.timing_digest}"
+        return self.digest
 
 
 def build_job_key(experiment_id: str, run_kwargs: dict) -> JobKey:
@@ -72,24 +48,21 @@ def build_job_key(experiment_id: str, run_kwargs: dict) -> JobKey:
     *run_kwargs* are :func:`repro.config.overrides` keywords; knobs
     the caller left unset resolve through the surrounding CLI/env
     configuration, so a run under ``REPRO_SEED=7`` and one passing
-    ``seed=7`` explicitly share a key — they are the same run.  Every
-    knob that can change a value is keyed; the sync primitive re-costs
-    architecture II, so it is.
+    ``seed=7`` explicitly share a key — they are the same run.
     """
     with config.overrides(**run_kwargs):
-        resolved = config.resolved_config()
-    structure = (experiment_id, resolved.reduction, resolved.sync,
-                 resolved.fault_plan, resolved.queue_limit)
-    timing = (resolved.seed, resolved.duration_us,
-              resolved.arrival_rate_per_ms, resolved.deadline_us)
-    return JobKey(structure=structure, timing=timing)
+        snapshot = config.resolved_config().as_dict()
+    parts = (experiment_id, *(
+        (knob.field, snapshot[knob.field])
+        for knob in config.KNOBS.values() if knob.changes_values))
+    return JobKey(hashlib.sha256(repr(parts).encode()).hexdigest()[:16])
 
 
 def serve_experiment(experiment_id: str, **run_kwargs):
     """Answer one run from the store, or run and store it.
 
     *run_kwargs* are :func:`repro.config.overrides` keywords
-    (``seed=7``, ``sync="cas"``, ``cache_enabled=False``, ...).
+    (``seed=7``, ``sync="cas"``, ``cache=False``, ...).
     Returns ``(result, store_hit)``; exceptions from the run
     propagate and store nothing.
     """

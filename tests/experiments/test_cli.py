@@ -79,12 +79,12 @@ def test_parser_requires_command():
 
 
 def test_seed_flag_sets_global_default(capsys):
-    from repro.seeding import default_seed, set_default_seed
+    from repro import config
     try:
         assert main(["--seed", "123", "list"]) == 0
-        assert default_seed() == 123
+        assert config.seed() == 123
     finally:
-        set_default_seed(None)
+        config.reset()
 
 
 def test_chaos_subcommand_renders_sweep(capsys):
@@ -96,8 +96,8 @@ def test_chaos_subcommand_renders_sweep(capsys):
         assert "retransmits" in out
         assert "seed=1" in out
     finally:
-        from repro.seeding import set_default_seed
-        set_default_seed(None)
+        from repro import config
+        config.reset()
 
 
 def test_chaos_rejects_bad_loss_rate(capsys):
@@ -177,10 +177,37 @@ def test_validate_rebaseline_writes_custom_path(tmp_path, capsys):
     assert "Host" in entry["busy"]
 
 
+def test_stats_summarises_a_recorded_trace(tmp_path, capsys):
+    trace = tmp_path / "t.json"
+    assert main(["--trace", str(trace), "run", "table-5.2"]) == 0
+    capsys.readouterr()
+    jsonl = tmp_path / "t.jsonl"
+    assert main(["stats", str(jsonl)]) == 0
+    assert f"{jsonl}: schema" in capsys.readouterr().out
+
+
 def test_jobs_flag_rejects_bad_values(capsys):
     with pytest.raises(SystemExit):
         main(["--jobs", "0", "list"])
-    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert "--jobs must be a positive integer" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(["--jobs", "four", "list"])
-    assert "invalid int value" in capsys.readouterr().err
+    assert "--jobs must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["serve", "table-5.1"],
+                                     ["solve"], ["scoreboard"],
+                                     ["list"], ["stats", "t.jsonl"]])
+@pytest.mark.parametrize("flag", [["--trace", "t.json"], ["--profile"]])
+def test_untraced_commands_reject_trace_and_profile(command, flag,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+    # these commands neither trace nor profile: a root --trace or
+    # --profile must fail loudly instead of writing nothing
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main([*flag, *command])
+    assert exit_info.value.code == 2
+    assert f"{flag[0]} does not apply to 'repro {command[0]}'" \
+        in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -13,20 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import config
 from repro.errors import ModelError
 from repro.gtpn import Guard, Net, analyze
 from repro.models.params import Architecture
 from repro.models.symmetric import build_replicated_local_net
-from repro.perf import set_cache_enabled
 
 TOL = 1e-9
 
 
 @pytest.fixture(autouse=True)
 def _cache_off():
-    set_cache_enabled(False)
-    yield
-    set_cache_enabled(True)
+    with config.overrides(cache=False):
+        yield
 
 
 def _operating_points():

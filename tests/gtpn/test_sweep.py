@@ -25,7 +25,7 @@ from repro.perf.cache import fingerprint_net
 def _cache_off():
     """Isolate from the global cache: per-point analyze must take the
     plain build path so the comparison is against independent work."""
-    with config.overrides(cache_enabled=False):
+    with config.overrides(cache=False):
         yield
 
 
@@ -115,7 +115,7 @@ def test_analyze_records_retimes_as_retimes():
     skeleton, and the trace says so."""
     store = Store()
     grid = [(0.5, 0.5, 4.0), (0.3, 0.7, 6.0), (0.9, 0.1, 12.0)]
-    with config.overrides(cache_enabled=True), \
+    with config.overrides(cache=True), \
             obs.recording() as recorder:
         results = [analyze(_grid_net(*point), cache=store)
                    for point in grid]
@@ -189,7 +189,7 @@ def test_analyze_counts_rebuild_on_mismatch_through_the_store():
     """The same delay change through plain ``analyze`` over one shared
     store: the stored skeleton is rejected, counted, and replaced."""
     store = Store()
-    with config.overrides(cache_enabled=True), \
+    with config.overrides(cache=True), \
             obs.recording() as recorder:
         first = analyze(_delay_net(2), cache=store)
         second = analyze(_delay_net(3), cache=store)

@@ -125,11 +125,11 @@ class TestIterativeSolution:
         from repro.perf.cache import configure_cache
         store = configure_cache()           # a fresh, empty global store
         try:
-            with config.overrides(cache_enabled=False), \
+            with config.overrides(cache=False), \
                     obs.recording() as recorder:
                 uncached = solve_nonlocal(Architecture.III, 3, 500.0)
             assert len(store) == 0
-            with config.overrides(cache_enabled=True):
+            with config.overrides(cache=True):
                 cached = solve_nonlocal(Architecture.III, 3, 500.0)
         finally:
             configure_cache()

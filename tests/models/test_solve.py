@@ -40,23 +40,13 @@ def test_uncached_solve_reaches_the_analyzer():
         solve(Architecture.I, Mode.LOCAL, 1, 250.0)
     assert _analyze_spans(recorder) == 0        # answered by the store
     assert recorder.counters["cache.solve_hit"] == 1
-    with config.overrides(cache_enabled=False):
+    with config.overrides(cache=False):
         solve(Architecture.I, Mode.LOCAL, 1, 250.0)
         with obs.recording() as recorder:
             again = solve(Architecture.I, Mode.LOCAL, 1, 250.0)
     assert _analyze_spans(recorder) == 1
     assert "cache.solve_hit" not in recorder.counters
     assert again.throughput == warm.throughput
-
-
-def test_solve_memo_keys_on_reduction():
-    from repro import config, obs
-    plain = solve(Architecture.II, Mode.NONLOCAL, 2, 750.0)
-    with config.overrides(reduction="elim"), \
-            obs.recording() as recorder:
-        elim = solve(Architecture.II, Mode.NONLOCAL, 2, 750.0)
-    assert any(span.name == "gtpn.solve" for span in recorder.spans)
-    assert elim.throughput == pytest.approx(plain.throughput, rel=1e-12)
 
 
 def test_communication_time_matches_local_sum_for_arch1():

@@ -45,6 +45,26 @@ class TestRunExperiment:
         assert config.seed() is None
         assert config.cache_enabled() is True
 
+    def test_every_knob_is_a_keyword(self):
+        # run_experiment takes each settable knob, sync included, with
+        # the matching CLI flag's precedence
+        from repro.experiments import Experiment, temporary_experiment
+        from repro.experiments.reporting import Table
+        seen = []
+
+        def runner():
+            seen.append(config.sync())
+            return Table(experiment_id="sync-probe", title="t",
+                         headers=["sync"], rows=[[config.sync()]])
+
+        with temporary_experiment(
+                Experiment("sync-probe", "t", "table", runner)):
+            result = api.run_experiment("sync-probe", sync="cas")
+        assert seen == ["cas"]
+        assert result.config["sync"] == "cas"
+        assert result.config["sync_source"] == "cli"
+        assert config.sync() == "tas"
+
     def test_attach_extra_rides_on_result(self):
         from repro.experiments.registry import Experiment, REGISTRY
         from repro.experiments.reporting import Table

@@ -7,11 +7,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import obs
+from repro import config, obs
 from repro.gtpn import Analyzer, Guard, Net, analyze
 from repro.models import Architecture, build_local_net
-from repro.perf import Store, cache_enabled, fingerprint_net, \
-    set_cache_enabled
+from repro.perf import Store, fingerprint_net
 
 
 def _cycle_net(name="cycle", delay=5, compute=0):
@@ -156,15 +155,12 @@ def test_lru_bound_evicts_oldest():
 
 def test_cache_disable_switch(monkeypatch):
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    set_cache_enabled(True)
-    assert cache_enabled()
-    set_cache_enabled(False)
-    try:
-        assert not cache_enabled()
-    finally:
-        set_cache_enabled(True)
+    assert config.cache_enabled()
+    with config.overrides(cache=False):
+        assert not config.cache_enabled()
+    assert config.cache_enabled()
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
-    assert not cache_enabled()
+    assert not config.cache_enabled()
 
 
 # ----------------------------------------------------------------------
@@ -313,14 +309,11 @@ def test_defective_disk_entry_propagates(tmp_path):
 
 def test_kill_switch_covers_every_namespace(tmp_path):
     store = Store(directory=tmp_path)
-    keys = [("structure", "timing", "auto", "none"), ("solve", 1),
+    keys = [("structure", "timing", "none"), ("solve", 1),
             _rkey(1)]
-    set_cache_enabled(False)
-    try:
+    with config.overrides(cache=False):
         for key in keys:
             store.put(key, 1.0)
             assert store.get(key) is None
-    finally:
-        set_cache_enabled(True)
     assert len(store) == 0 and not list(tmp_path.iterdir())
     assert not store.hits and not store.misses

@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro import config
 from repro.errors import ConfigError
-from repro.perf.backends import (MIN_ITEMS_PER_JOB, default_jobs,
-                                 last_map_info, map_sweep, plan_jobs,
-                                 set_default_jobs)
+from repro.perf.backends import (MIN_ITEMS_PER_JOB, last_map_info,
+                                 map_sweep, plan_jobs)
 
 
 def _square(x):
@@ -21,9 +21,9 @@ def _boom(x):
 
 
 @pytest.fixture(autouse=True)
-def _reset_default_jobs():
+def _reset_config():
     yield
-    set_default_jobs(None)
+    config.reset()
 
 
 def test_serial_map_preserves_order():
@@ -83,34 +83,34 @@ def test_invalid_jobs_rejected():
     with pytest.raises(ValueError):
         map_sweep(_square, [1], jobs=0)
     with pytest.raises(ValueError):
-        set_default_jobs(0)
+        config.set_knob("jobs", 0)
     with pytest.raises(ConfigError):
         map_sweep(_square, [1], jobs=2.5)
     with pytest.raises(ConfigError):
         map_sweep(_square, [1], jobs="four")
 
 
-def test_default_jobs_resolution(monkeypatch):
+def test_configured_jobs_resolution(monkeypatch):
     monkeypatch.delenv("REPRO_JOBS", raising=False)
-    set_default_jobs(None)
-    assert default_jobs() == 1
+    config.reset()
+    assert config.jobs() == 1
     monkeypatch.setenv("REPRO_JOBS", "3")
-    assert default_jobs() == 3
-    set_default_jobs(5)
-    assert default_jobs() == 5
+    assert config.jobs() == 3
+    config.set_knob("jobs", 5)
+    assert config.jobs() == 5
 
 
 @pytest.mark.parametrize("bad", ["not-a-number", "0", "-2", "2.5", " "])
 def test_malformed_repro_jobs_rejected(monkeypatch, bad):
     # a user who exported REPRO_JOBS wanted parallelism; a typo must
     # fail loudly (ConfigError is also a ValueError), not run serial
-    set_default_jobs(None)
+    config.reset()
     monkeypatch.setenv("REPRO_JOBS", bad)
     if bad.strip():
         with pytest.raises(ConfigError):
-            default_jobs()
+            config.jobs()
     else:
-        assert default_jobs() == 1    # unset/blank still means serial
+        assert config.jobs() == 1    # unset/blank still means serial
 
 
 def test_plan_jobs_policy():

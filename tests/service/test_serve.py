@@ -98,9 +98,9 @@ def test_unset_knobs_resolve_through_cli_and_env(monkeypatch):
         _, env_hit = serve_experiment("toy-exp")
         monkeypatch.delenv("REPRO_SEED")
         _, explicit_hit = serve_experiment("toy-exp", seed=5)
-        config.set_seed(6)
+        config.set_knob("seed", 6)
         _, cli_hit = serve_experiment("toy-exp")
-        config.set_seed(None)
+        config.set_knob("seed", None)
         _, explicit_cli_hit = serve_experiment("toy-exp", seed=6)
     assert (env_hit, explicit_hit) == (False, True)
     assert (cli_hit, explicit_cli_hit) == (False, True)

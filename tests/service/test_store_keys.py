@@ -42,7 +42,7 @@ def test_cache_disabled_submission_never_reads_the_store():
     with temporary_experiment(make_toy(tracker=tracker)):
         _, first_hit = serve_experiment("toy-exp", seed=1)
         _, uncached_hit = serve_experiment("toy-exp", seed=1,
-                                           cache_enabled=False)
+                                           cache=False)
         _, cached_hit = serve_experiment("toy-exp", seed=1)
     assert not first_hit
     assert not uncached_hit
