@@ -241,7 +241,7 @@ def test_bench_packed_scaling_arch2(perf_record):
                             closed_classes=skeleton.closed_class_count())
         states_per_s = graph.state_count / build_s
         perf_record(bench=f"scaling-arch2-n{n}",
-                    state_count=graph.state_count, reduction="none",
+                    state_count=graph.state_count, lump=False,
                     build_s=build_s, solve_s=solve_s,
                     states_per_s=states_per_s)
         assert states_per_s >= MIN_STATES_PER_S
@@ -272,7 +272,7 @@ def _paired_build_ratio(mk, reps):
 
 def _record_ratio(perf_record, bench, graph, packed_s, object_s):
     perf_record(bench=bench, state_count=graph.state_count,
-                reduction="none", packed_best_s=packed_s,
+                lump=False, packed_best_s=packed_s,
                 object_best_s=object_s,
                 packed_states_per_s=graph.state_count / packed_s,
                 object_states_per_s=graph.state_count / object_s,
@@ -313,7 +313,7 @@ def test_bench_lumped_flagship_point(perf_record):
     with config.overrides(cache=False):
         result, total_s = _timed(
             lambda: analyze(build_replicated_local_net(Architecture.II, 4),
-                            max_states=5_000_000, reduction="lump"))
+                            max_states=5_000_000, lump=True))
 
     full_states = _REPLICATED_N4_FULL_STATES
     if os.environ.get("REPRO_BENCH_HEAVY"):
@@ -325,11 +325,11 @@ def test_bench_lumped_flagship_point(perf_record):
         assert full_states == _REPLICATED_N4_FULL_STATES
 
     perf_record(bench="lumped-arch2-replicated-n4",
-                state_count=result.state_count, reduction="lump",
+                state_count=result.state_count, lump=True,
                 pre_lump_states=full_states, total_s=total_s,
                 throughput=result.throughput())
     assert full_states >= 100_000
-    assert result.graph.reduction.lumped
+    assert result.graph.transition_orbits
     assert total_s < LUMPED_BUDGET_S
 
 

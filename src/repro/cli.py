@@ -276,10 +276,15 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         if args.rebaseline:
             path = default_path()
-            entries = maybe_profile(args, "rebaseline",
-                                    lambda: rebaseline(path))
+            entries, _summary, trace_paths = maybe_profile(
+                args, "rebaseline",
+                lambda: api.run_traced("rebaseline",
+                                       lambda: rebaseline(path),
+                                       trace=args.trace))
             print(f"baseline written: {path} "
                   f"({len(entries)} configurations pinned)")
+            if trace_paths:
+                print("trace: " + ", ".join(trace_paths))
             return 0
         experiment_id = "validate-quick" if args.quick \
             else "validate-full"

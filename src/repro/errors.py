@@ -38,7 +38,7 @@ class StateSpaceLimitError(AnalysisError):
             f"net {net_name!r}: more than {max_states} reachable states "
             f"({state_count} interned, {frontier_size} still on the "
             "frontier); raise max_states, simplify the model, or enable "
-            "symmetry lumping (reduction='lump') if the net declares "
+            "symmetry lumping (lump=True) if the net declares "
             "symmetric subnets")
 
 

@@ -23,11 +23,11 @@ from repro.gtpn.analysis import AnalysisResult, Analyzer, analyze
 from repro.gtpn.approximations import (activity_pair, geometric_frequency,
                                        littles_law_population,
                                        littles_law_residence)
-from repro.gtpn.markov import stationary_distribution, transition_matrix
+from repro.gtpn.markov import stationary_distribution
 from repro.gtpn.net import Guard, Net, Place, SymmetryGroup, Transition
 from repro.gtpn.packed import (PackedLayout, PackedSkeleton, compile_packed,
                                packed_build, packed_retime)
-from repro.gtpn.reachability import (ReachabilityGraph, ReductionInfo,
+from repro.gtpn.reachability import (ReachabilityGraph,
                                      build_reachability_graph)
 from repro.gtpn.simulation import (ConfidenceResult, SimulationResult,
                                    simulate, simulate_with_confidence)
@@ -47,7 +47,6 @@ __all__ = [
     "PackedSkeleton",
     "Place",
     "ReachabilityGraph",
-    "ReductionInfo",
     "SimulationResult",
     "State",
     "SymmetryGroup",
@@ -73,5 +72,4 @@ __all__ = [
     "stationary_distribution",
     "structural_deadlock_free_bound",
     "to_networkx",
-    "transition_matrix",
 ]

@@ -26,8 +26,7 @@ from repro import obs
 from repro.gtpn.markov import stationary_distribution
 from repro.gtpn.net import Net
 from repro.gtpn.packed import (PackedSkeleton, SkeletonMismatch,
-                               normalize_reduction, packed_build,
-                               packed_retime)
+                               packed_build, packed_retime)
 from repro.gtpn.reachability import DEFAULT_MAX_STATES, ReachabilityGraph
 from repro.perf.cache import Store, fingerprint_net, get_cache
 
@@ -70,10 +69,10 @@ class AnalysisResult:
         carries which share; the members are interchangeable, so the
         orbit mean is each member's exact steady-state value.
         """
-        info = self.graph.reduction
-        if info is None or not info.lumped:
+        graph = self.graph
+        orbits = graph.place_orbits if places else graph.transition_orbits
+        if not orbits:
             return vec
-        orbits = info.place_orbits if places else info.transition_orbits
         out = vec.copy()
         for orbit in orbits:
             total = 0.0
@@ -100,8 +99,8 @@ class AnalysisResult:
     @cached_property
     def _mean_marking(self) -> np.ndarray:
         """Per-place mean token count."""
-        n_places = self.graph.packed_layout.n_places
-        marking = self.graph.packed_table[:, :n_places].astype(float)
+        n_places = self.graph.layout.n_places
+        marking = self.graph.table[:, :n_places].astype(float)
         return self._fold_orbits(self.pi @ marking, places=True)
 
     def mean_tokens(self, place: str) -> float:
@@ -164,11 +163,10 @@ class Analyzer:
     """
 
     def __init__(self, *, max_states: int = DEFAULT_MAX_STATES,
-                 cache: Store | None = None, reduction: str = "none"):
+                 cache: Store | None = None, lump: bool = False):
         self.max_states = max_states
-        self.reduction = normalize_reduction(reduction)
+        self.lump = lump
         self.cache = cache if cache is not None else get_cache()
-        self._kind = f"packed:{self.reduction}"
         #: structure fingerprint -> packed skeleton
         self._skeletons: dict[str, PackedSkeleton] = {}
 
@@ -176,20 +174,20 @@ class Analyzer:
         """Solve one net; see :func:`analyze` for the contract."""
         with obs.span("gtpn.analyze", net=net.name) as root:
             fingerprint = fingerprint_net(net)
-            key = (fingerprint.structure, fingerprint.timing,
-                   self.reduction)
+            key = (fingerprint.structure, fingerprint.timing, self.lump)
             payload = self.cache.get(key)
             if payload is not None:
                 net.validate()          # keep error behaviour of a solve
                 root.set(outcome="cache-hit")
-                return _rebind(net, payload)
+                graph, pi = payload
+                return AnalysisResult(net=net, graph=graph, pi=pi)
             graph, skeleton, outcome = self._graph(net,
                                                    fingerprint.structure)
             with obs.span("gtpn.solve", states=graph.state_count):
                 pi = stationary_distribution(
                     graph, closed_classes=skeleton.closed_class_count())
             result = AnalysisResult(net=net, graph=graph, pi=pi)
-            self.cache.put(key, _payload(result))
+            self.cache.put(key, (graph, pi))
             root.set(outcome=outcome, states=graph.state_count)
             return result
 
@@ -199,8 +197,7 @@ class Analyzer:
         graph, its skeleton and the ``gtpn.analyze`` outcome."""
         skeleton = self._skeletons.get(structure)
         if skeleton is None:
-            skeleton = self.cache.get_structure(structure,
-                                                kind=self._kind)
+            skeleton = self.cache.get_structure(structure, lump=self.lump)
         if skeleton is not None:
             try:
                 graph = packed_retime(skeleton, net,
@@ -212,65 +209,33 @@ class Analyzer:
         with obs.span("gtpn.build"):
             graph, skeleton = packed_build(
                 net, max_states=self.max_states, structure=structure,
-                reduction=self.reduction)
+                lump=self.lump)
         self._skeletons[structure] = skeleton
-        self.cache.put_structure(structure, skeleton, kind=self._kind)
+        self.cache.put_structure(structure, skeleton, lump=self.lump)
         return graph, skeleton, "built"
 
 
 def analyze(net: Net, *, max_states: int = DEFAULT_MAX_STATES,
             cache: Store | None = None,
-            reduction: str = "none") -> AnalysisResult:
+            lump: bool = False) -> AnalysisResult:
     """Build the reachability graph of *net* and solve it exactly.
 
     A one-shot :class:`Analyzer`.  Solves are memoized in the analysis
     namespace of the content-addressed store (:mod:`repro.perf.cache`)
-    under the split ``(structure, timing, reduction)`` key: a
-    full hit returns the stored graph and stationary vector re-bound
-    to *net*, skipping both state-space exploration and the Markov
-    solve, while a structure-only hit re-times the stored reachability
-    skeleton and re-solves just the linear system — bit-identical to a
-    from-scratch build.  ``cache`` is a private store, or ``None`` for
+    under the split ``(structure, timing, lump)`` key: a full hit
+    returns the stored ``(graph, pi)`` bound to *net*, skipping both
+    state-space exploration and the Markov solve, while a
+    structure-only hit re-times the stored reachability skeleton and
+    re-solves just the linear system — bit-identical to a from-scratch
+    build.  ``cache`` is a private store, or ``None`` for
     the process-wide one; either honours ``--no-cache`` /
     ``REPRO_NO_CACHE`` itself, and the global one ``REPRO_CACHE_DIR``.
     Cached payloads are shared — treat results as read-only.
 
-    ``reduction`` selects opt-in state-space reduction (``"lump"``,
-    ``"elim"``, ``"lump+elim"``; default ``"none"``).  Only a net
+    ``lump`` turns on symmetry lumping (off by default).  Only a net
     that declares a symmetry (:meth:`Net.declare_symmetry`) has
     anything to lump.
     """
     return Analyzer(max_states=max_states, cache=cache,
-                    reduction=reduction).analyze(net)
+                    lump=lump).analyze(net)
 
-
-def _payload(result: AnalysisResult) -> dict:
-    """Cacheable view of a result: everything except the net binding.
-
-    Names live only on the net, so a payload computed for one net
-    re-binds cleanly to any net with the same fingerprint.
-    """
-    graph = result.graph
-    return {
-        "matrix": graph.matrix,
-        "starts_matrix": graph.starts_matrix,
-        "init_vec": graph.init_vec,
-        "inflight_matrix": graph.inflight_matrix,
-        "table": graph.packed_table,
-        "layout": graph.packed_layout,
-        "reduction": graph.reduction,
-        "pi": result.pi,
-    }
-
-
-def _rebind(net: Net, payload: dict) -> AnalysisResult:
-    graph = ReachabilityGraph(
-        net=net,
-        matrix=payload["matrix"],
-        starts_matrix=payload["starts_matrix"],
-        init_vec=payload["init_vec"],
-        inflight_matrix=payload["inflight_matrix"],
-        packed_table=payload["table"],
-        packed_layout=payload["layout"],
-        reduction=payload["reduction"])
-    return AnalysisResult(net=net, graph=graph, pi=payload["pi"])

@@ -14,6 +14,8 @@ path, which settles into exactly one of the closed classes.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -21,16 +23,9 @@ from scipy.sparse.csgraph import connected_components
 
 from repro import obs
 from repro.errors import AnalysisError
-from repro.gtpn.reachability import ReachabilityGraph
 
-
-def transition_matrix(graph: ReachabilityGraph) -> sp.csr_matrix:
-    """The one-tick probability matrix P as a sparse CSR matrix.
-
-    Packed graphs carry their CSR natively; object-walk graphs
-    materialize (and cache) it from the row dicts on first access.
-    """
-    return graph.matrix
+if TYPE_CHECKING:
+    from repro.gtpn.reachability import ReachabilityGraph
 
 
 def stationary_distribution(graph: ReachabilityGraph,
@@ -44,11 +39,11 @@ def stationary_distribution(graph: ReachabilityGraph,
     ``method`` is one of ``"auto"`` (direct solve with power-iteration
     fallback), ``"linear"`` or ``"power"``.  ``closed_classes`` lets a
     caller that already knows the chain's closed communicating class
-    count (the sweep skeleton computes it once per structure) skip the
+    count (the packed skeleton computes it once per structure) skip the
     strongly-connected-components pass; the reducibility refusal is
     identical either way.
     """
-    matrix = transition_matrix(graph)
+    matrix = graph.matrix
     if method not in ("auto", "linear", "power"):
         raise AnalysisError(f"unknown stationary method {method!r}")
     closed = _closed_class_count(matrix) if closed_classes is None \

@@ -40,20 +40,16 @@ kept as the test oracle), and a
 :func:`packed_build` by construction (same arrays through the same
 :func:`_evaluate`).
 
-On top sit the opt-in reductions (``analyze(..., reduction=...)``):
-
-* ``lump`` — client symmetry lumping.  Successor rows are
-  canonicalized by sorting the column blocks of every declared
-  :class:`~repro.gtpn.net.SymmetryGroup` member, folding states that
-  differ only by a replica permutation onto one representative.  The
-  quotient is exact (strong lumpability) because every declared swap is
-  a validated net automorphism; per-member measures are recovered by
-  orbit averaging in :mod:`repro.gtpn.analysis`.
-* ``elim`` — transient elimination.  Immediate (delay-0) firings are
-  already folded into ticks by the settle semantics, so the embedded
-  chain has no classical vanishing markings; what remains removable are
-  the transient states of the initial settling, dropped by slicing the
-  chain to its single closed communicating class.
+On top sits one opt-in reduction, client symmetry lumping
+(``analyze(..., lump=True)``).  Successor rows are canonicalized by
+sorting the column blocks of every declared
+:class:`~repro.gtpn.net.SymmetryGroup` member, folding states that
+differ only by a replica permutation onto one representative.  The
+quotient is exact (strong lumpability) because every declared swap is
+a validated net automorphism; per-member measures are recovered by
+orbit averaging in :mod:`repro.gtpn.analysis`.  Immediate (delay-0)
+firings need no reduction: the settle semantics fold them into ticks,
+so the embedded chain has no vanishing markings.
 """
 
 from __future__ import annotations
@@ -62,10 +58,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from repro import obs
-from repro.errors import AnalysisError, ConfigError, StateSpaceLimitError
+from repro.errors import AnalysisError, StateSpaceLimitError
+from repro.gtpn.markov import _closed_class_count
 from repro.gtpn.net import Net
 from repro.gtpn.state import MAX_IMMEDIATE_ROUNDS, State
 
@@ -79,31 +75,6 @@ MAX_CLASS_MEMBERS = 40          # positive-frequency members per class
 #: settle (items × members × places) while keeping per-wave numpy
 #: call overhead amortized over thousands of states.
 WAVE_CHUNK = 8192
-
-
-#: Recognized reduction modes, in canonical spelling.  ``lump`` folds
-#: states related by a declared client symmetry onto one representative
-#: (:meth:`repro.gtpn.net.Net.declare_symmetry`); ``elim`` drops the
-#: transient states the chain leaves during initial settling.  Both are
-#: exact for steady-state measures and both are **off** by default so
-#: the exact path stays bit-identical to the committed baselines.
-VALID_REDUCTIONS = ("none", "lump", "elim", "lump+elim")
-
-
-def normalize_reduction(value, source: str = "reduction") -> str:
-    """Canonical reduction mode, or :class:`ConfigError` for junk.
-
-    Accepts any ``+``-joined combination of ``lump`` / ``elim`` in any
-    order (``elim+lump`` -> ``lump+elim``), plus ``none``.
-    """
-    parts = [p for p in str(value).strip().lower().split("+") if p]
-    if parts in ([], ["none"]):
-        return "none"
-    if not set(parts) <= {"lump", "elim"}:
-        raise ConfigError(
-            f"{source} must be one of {', '.join(VALID_REDUCTIONS)}, "
-            f"got {value!r}")
-    return "+".join(m for m in ("lump", "elim") if m in parts)
 
 
 class SkeletonMismatch(Exception):
@@ -170,6 +141,24 @@ class PackedLayout:
     def unpack_all(self, table: np.ndarray) -> list[State]:
         return [self.unpack(row) for row in table]
 
+    @classmethod
+    def for_net(cls, net: Net) -> "PackedLayout":
+        """The layout of *net*: one slot per ``(transition,
+        remaining)`` pair of every transition of static delay >= 1."""
+        slot_t, slot_r = [], []
+        slot_base = np.full(len(net.transitions), -1, dtype=np.int64)
+        for t_idx, transition in enumerate(net.transitions):
+            if transition.delay >= 1:
+                slot_base[t_idx] = len(slot_t)
+                for r in range(1, int(transition.delay) + 1):
+                    slot_t.append(t_idx)
+                    slot_r.append(r)
+        return cls(n_places=len(net.places),
+                   n_transitions=len(net.transitions),
+                   slot_t=np.array(slot_t, dtype=np.int64),
+                   slot_r=np.array(slot_r, dtype=np.int64),
+                   slot_base=slot_base)
+
 
 class PackedNet:
     """Compiled arrays for batched execution of one static net.
@@ -190,20 +179,8 @@ class PackedNet:
                               dtype=np.float64)
         self.guards = tuple(net.resolved_guards())
 
-        # slots: transition-major, remaining ascending
-        slot_t, slot_r = [], []
-        slot_base = np.full(n_t, -1, dtype=np.int64)
-        for t in range(n_t):
-            if self.delays[t] >= 1:
-                slot_base[t] = len(slot_t)
-                for r in range(1, int(self.delays[t]) + 1):
-                    slot_t.append(t)
-                    slot_r.append(r)
-        self.layout = PackedLayout(
-            n_places=n_p, n_transitions=n_t,
-            slot_t=np.array(slot_t, dtype=np.int64),
-            slot_r=np.array(slot_r, dtype=np.int64),
-            slot_base=slot_base)
+        self.layout = PackedLayout.for_net(net)
+        slot_base = self.layout.slot_base
         width = self.layout.width
 
         # arc matrices with the sentinel no-op row
@@ -354,8 +331,9 @@ class PackedNet:
                                             dtype=np.int64))
 
 
-def compile_packed(net: Net, reduction: str = "none") -> PackedNet:
-    """Compile *net* for the packed engine.
+def compile_packed(net: Net, lump: bool = False) -> PackedNet:
+    """Compile *net* for the packed engine (with its symmetry blocks
+    when *lump* is set and the net declares a symmetry).
 
     Raises :class:`AnalysisError` when the net exceeds a cap of the
     packed encodings: the state-row width or the factor-key mask.
@@ -372,7 +350,7 @@ def compile_packed(net: Net, reduction: str = "none") -> PackedNet:
             f"net {net.name!r}: a conflict class has {widest} "
             "positive-frequency members, above MAX_CLASS_MEMBERS = "
             f"{MAX_CLASS_MEMBERS}")
-    if "lump" in reduction and net.symmetries:
+    if lump and net.symmetries:
         pnet.build_sym_blocks()
     return pnet
 
@@ -624,66 +602,38 @@ class PackedSkeleton:
     """
 
     structure: str              # structure fingerprint
-    kind: str                   # "packed:<reduction>"
     n_places: int
     n_transitions: int
     static_delays: tuple
     freq_positive: tuple        # per transition: frequency > 0
     guards: tuple               # per transition: resolved guard or None
     layout: PackedLayout
-    table: np.ndarray           # (n_full, width) canonical state rows
+    table: np.ndarray           # (n_states, width) canonical rows
     indptr: np.ndarray
     indices: np.ndarray
     ev: _EvalData
     inflight_matrix: np.ndarray
     closed_classes: int | None  # None until first demanded
-    kept: np.ndarray | None     # elim slice, None when not reduced
-    reduction: str              # requested mode
-    lumped: bool
-    place_orbits: tuple
+    place_orbits: tuple         # lumped index groups, () when unlumped
     transition_orbits: tuple
-    folded_states: int
-
-    @property
-    def full_state_count(self) -> int:
-        return len(self.table)
 
     @property
     def state_count(self) -> int:
-        return len(self.kept) if self.kept is not None \
-            else len(self.table)
+        return len(self.table)
 
     def closed_class_count(self) -> int:
         """Closed communicating classes of the chain (lazy, cached).
 
         The sparsity pattern (hence the reachability structure) is
         timing-invariant while the frequency support holds, so the
-        class count and the transient slice are skeleton facts — but
-        they are solve-side facts, not build-side ones (the object
-        engine computes them at solve time too), so they are deferred
-        until a solver or the transient elimination asks.
+        class count is a skeleton fact — but a solve-side one, so it is
+        deferred until a solver asks, then computed once per skeleton.
         """
         if self.closed_classes is None:
-            n_states = self.full_state_count
-            pattern = sp.csr_matrix(
+            n_states = self.state_count
+            self.closed_classes = _closed_class_count(sp.csr_matrix(
                 (np.ones(len(self.indices)), self.indices, self.indptr),
-                shape=(n_states, n_states))
-            n_comp, labels = connected_components(
-                pattern, directed=True, connection="strong")
-            if n_comp == 1:
-                self.closed_classes = 1
-            else:
-                coo = pattern.tocoo()
-                leaving = labels[coo.row] != labels[coo.col]
-                open_components = set(labels[coo.row[leaving]])
-                self.closed_classes = n_comp - len(open_components)
-                if "elim" in self.reduction \
-                        and self.closed_classes == 1:
-                    closed_labels = set(range(n_comp)) - open_components
-                    kept = np.flatnonzero(
-                        np.isin(labels, list(closed_labels)))
-                    if len(kept) < n_states:
-                        self.kept = kept
+                shape=(n_states, n_states)))
         return self.closed_classes
 
 
@@ -990,29 +940,26 @@ def _dedup_branches(dst: np.ndarray, src: np.ndarray,
 
 def packed_build(net: Net, pnet: PackedNet | None = None, *,
                  max_states: int, structure: str = "",
-                 reduction: str = "none",
+                 lump: bool = False,
                  ) -> tuple["object", PackedSkeleton]:
     """Breadth-first build of the embedded chain, a wave at a time.
 
     Returns ``(graph, skeleton)``; the graph is bit-identical to the
-    object engine's (reduction off), the skeleton re-times under new
+    object engine's (unlumped), the skeleton re-times under new
     static frequencies via :func:`packed_retime`.
     """
     if pnet is None:
-        pnet = compile_packed(net, reduction)
+        pnet = compile_packed(net, lump)
     net.validate()
     n_p, n_t = pnet.n_places, pnet.n_transitions
     width = pnet.layout.width
     lumping = bool(pnet.sym_blocks)
     interner = _Interner(width)
     books = _Bookkeeper()
-    folded_states = 0
 
     def intern_successors(rows: np.ndarray, explored: int) -> np.ndarray:
-        nonlocal folded_states
         if lumping:
             rows, changed = _lump_canonicalize(pnet, rows)
-            folded_states += changed
             if changed:
                 obs.add("gtpn.lumped", changed)
         ids = interner.intern(rows)
@@ -1126,16 +1073,14 @@ def packed_build(net: Net, pnet: PackedNet | None = None, *,
     pids = memo.finalize_pids()
     books.i_item_pid = pids[i_gidx]
     books.item_pid = [pids[g] for g in wave_gidx]
-    skeleton = _finalize_skeleton(net, pnet, interner, books,
-                                  structure, reduction)
-    skeleton.folded_states = folded_states
+    skeleton = _finalize_skeleton(net, pnet, interner, books, structure)
     graph = _materialize(skeleton, net, pnet.freqs)
     return graph, skeleton
 
 
 def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
                        books: _Bookkeeper, structure: str,
-                       reduction: str) -> PackedSkeleton:
+                       ) -> PackedSkeleton:
     n_states, n_t = interner.n, pnet.n_transitions
 
     # factor table straight from the padded program rows: a row-major
@@ -1227,66 +1172,34 @@ def _finalize_skeleton(net: Net, pnet: PackedNet, interner: _Interner,
             orbit for g in net.symmetries
             for orbit in g.transition_orbits())
 
-    skeleton = PackedSkeleton(
-        structure=structure, kind=f"packed:{reduction}",
+    return PackedSkeleton(
+        structure=structure,
         n_places=pnet.n_places, n_transitions=n_t,
         static_delays=tuple(int(d) for d in pnet.delays),
         freq_positive=tuple(bool(f > 0) for f in pnet.freqs),
         guards=pnet.guards,
         layout=pnet.layout, table=table, indptr=indptr,
         indices=indices, ev=ev, inflight_matrix=inflight_matrix,
-        closed_classes=None, kept=None, reduction=reduction,
-        lumped=bool(pnet.sym_blocks), place_orbits=place_orbits,
-        transition_orbits=transition_orbits, folded_states=0)
-    return skeleton
+        closed_classes=None, place_orbits=place_orbits,
+        transition_orbits=transition_orbits)
 
 
 def _materialize(skeleton: PackedSkeleton, net: Net,
                  freqs: np.ndarray):
     """Evaluate probabilities on a skeleton and assemble the graph."""
-    from repro.gtpn.reachability import (ReachabilityGraph,
-                                         ReductionInfo)
-    n_states = skeleton.full_state_count
-    n_t = skeleton.n_transitions
+    from repro.gtpn.reachability import ReachabilityGraph
+    n_states = skeleton.state_count
     data, starts_matrix, init_vec = _evaluate(
-        skeleton.ev, freqs, n_states, n_t, len(skeleton.indices))
+        skeleton.ev, freqs, n_states, skeleton.n_transitions,
+        len(skeleton.indices))
     matrix = sp.csr_matrix((data, skeleton.indices, skeleton.indptr),
                            shape=(n_states, n_states), copy=False)
     _check_stochastic_csr(net, matrix)
-
-    table = skeleton.table
-    inflight_matrix = skeleton.inflight_matrix
-    transient_removed = 0
-    if "elim" in skeleton.reduction:
-        skeleton.closed_class_count()   # may populate the elim slice
-    if skeleton.kept is not None:
-        kept = skeleton.kept
-        transient_removed = n_states - len(kept)
-        # rows of the closed class have no leaving probability mass,
-        # so the sliced rows still sum to one exactly
-        matrix = matrix[kept][:, kept]
-        starts_matrix = starts_matrix[kept]
-        table = table[kept]
-        inflight_matrix = inflight_matrix[kept]
-        init_kept = init_vec[kept]
-        mass = init_kept.sum()
-        init_vec = init_kept / mass if mass > 0 else \
-            np.full(len(kept), 1.0 / len(kept))
-
-    reduction = None
-    if skeleton.reduction != "none":
-        reduction = ReductionInfo(
-            requested=skeleton.reduction, lumped=skeleton.lumped,
-            place_orbits=skeleton.place_orbits,
-            transition_orbits=skeleton.transition_orbits,
-            folded_states=skeleton.folded_states,
-            pre_elim_states=n_states,
-            transient_removed=transient_removed)
     return ReachabilityGraph(
-        net=net, matrix=matrix, starts_matrix=starts_matrix,
-        init_vec=init_vec, inflight_matrix=inflight_matrix,
-        packed_table=table, packed_layout=skeleton.layout,
-        reduction=reduction)
+        matrix=matrix, init_vec=init_vec, starts_matrix=starts_matrix,
+        inflight_matrix=skeleton.inflight_matrix, table=skeleton.table,
+        layout=skeleton.layout, place_orbits=skeleton.place_orbits,
+        transition_orbits=skeleton.transition_orbits)
 
 
 def packed_retime(skeleton: PackedSkeleton, net: Net, *,
@@ -1302,7 +1215,7 @@ def packed_retime(skeleton: PackedSkeleton, net: Net, *,
     if (len(net.places) != skeleton.n_places
             or len(net.transitions) != skeleton.n_transitions):
         raise SkeletonMismatch("net shape differs")
-    if skeleton.full_state_count > max_states:
+    if skeleton.state_count > max_states:
         raise SkeletonMismatch("skeleton exceeds max_states")
     net.validate()
     if tuple(t.delay for t in net.transitions) != skeleton.static_delays:

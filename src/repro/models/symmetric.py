@@ -9,7 +9,7 @@ client/server chain, all of them sharing the Host (and MP) resource
 places.  The two forms describe the same system, but the replicated
 net's reachable space grows like the product of the per-conversation
 chains — the regime where the packed engine's symmetry lumping
-(``analyze(..., reduction="lump")``) earns its keep by folding states
+(``analyze(..., lump=True)``) earns its keep by folding states
 that differ only by a conversation permutation.
 
 Each replica is registered with :meth:`repro.gtpn.net.Net.

@@ -3,11 +3,11 @@
 Every value the toolkit memoizes lives in one :class:`Store`, under one
 of three key namespaces:
 
-* ``analysis`` — exact GTPN analysis payloads, keyed ``(structure,
-  timing, reduction)`` on a net's split fingerprint (below),
+* ``analysis`` — exact GTPN analysis payloads ``(graph, pi)``, keyed
+  ``(structure, timing, lump)`` on a net's split fingerprint (below),
   and the reusable reachability skeletons of
   :class:`repro.gtpn.Analyzer`, keyed ``("skeleton", structure,
-  kind)``;
+  lump)``;
 * ``solve`` — one operating point's throughput
   (:func:`repro.models.solve.solve`), keyed ``("solve", architecture,
   mode, conversations, compute_time, sync)``;
@@ -210,22 +210,22 @@ class Store:
             self._remember(namespace, key, value)
         self._write_disk(key, namespace, value)
 
-    def get_structure(self, structure_fp: str, kind: str):
+    def get_structure(self, structure_fp: str, *, lump: bool):
         """Stored reachability skeleton for a structure, if any.
 
-        ``kind`` separates skeleton families sharing one structure:
-        ``"packed:<reduction>"``, one per reduction mode.
+        ``lump`` separates the lumped and the unlumped skeleton of one
+        structure.
 
         Skeleton lookups ride the analysis namespace but stay out of
         its hit/miss counts — those count *solves avoided*, and a
         skeleton hit still re-times and re-solves.
         """
-        return self.get(("skeleton", structure_fp, kind),
+        return self.get(("skeleton", structure_fp, lump),
                         record_stats=False)
 
-    def put_structure(self, structure_fp: str, skeleton: Any,
-                      kind: str) -> None:
-        self.put(("skeleton", structure_fp, kind), skeleton)
+    def put_structure(self, structure_fp: str, skeleton: Any, *,
+                      lump: bool) -> None:
+        self.put(("skeleton", structure_fp, lump), skeleton)
 
     def attach_directory(self, directory: str | os.PathLike) -> None:
         """Add (or retarget) the disk tier without dropping memory.

@@ -164,10 +164,17 @@ def test_validate_quick_end_to_end(tmp_path, capsys):
 
 def test_validate_rebaseline_writes_custom_path(tmp_path, capsys):
     target = tmp_path / "baseline.json"
-    assert main(["validate", "--rebaseline",
+    trace = tmp_path / "rb.json"
+    assert main(["--trace", str(trace), "validate", "--rebaseline",
                  "--baseline", str(target)]) == 0
     out = capsys.readouterr().out
     assert "baseline written" in out
+    # --trace reaches the rebaseline: both trace files, a valid stream
+    jsonl = tmp_path / "rb.jsonl"
+    assert trace.exists() and jsonl.exists()
+    assert f"trace: {trace}, {jsonl}" in out
+    from repro.obs.__main__ import main as obs_main
+    assert obs_main([str(jsonl)]) == 0
     from repro.validate.baseline import load_baseline
     payload = load_baseline(target)
     # the union of the quick and full grids, exact values only

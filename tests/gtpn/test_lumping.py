@@ -1,4 +1,4 @@
-"""Tests for exact symmetry lumping (reduction="lump").
+"""Tests for exact symmetry lumping (``analyze(..., lump=True)``).
 
 The contract under test: on a net with declared replica symmetry the
 lumped chain is a strongly-lumpable quotient, so every steady-state
@@ -6,16 +6,19 @@ measure — throughput, per-pool busy fractions, per-transition firing
 rates (orbit-averaged) — agrees with the unlumped exact solve to
 far better than 1e-9, while the state space shrinks.  Plus the
 declaration-time validation: ``declare_symmetry`` must reject
-malformed groups rather than let an inexact fold through.
+malformed groups rather than let an inexact fold through.  And a
+lumped result read back from the store's disk tier equals the cold
+solve.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import config
+from repro import config, obs
 from repro.errors import ModelError
 from repro.gtpn import Guard, Net, analyze
+from repro.perf import Store
 from repro.models.params import Architecture
 from repro.models.symmetric import build_replicated_local_net
 
@@ -41,11 +44,11 @@ def _operating_points():
 def test_lumped_measures_match_unlumped(point):
     architecture, conversations, compute = point
     exact = analyze(build_replicated_local_net(
-        architecture, conversations, compute), reduction="none")
+        architecture, conversations, compute))
     lumped = analyze(build_replicated_local_net(
-        architecture, conversations, compute), reduction="lump")
+        architecture, conversations, compute), lump=True)
     assert lumped.state_count < exact.state_count
-    assert lumped.graph.reduction.lumped
+    assert lumped.graph.transition_orbits
     assert abs(lumped.throughput() - exact.throughput()) < TOL
     net = exact.net
     for place in net.places:
@@ -59,17 +62,37 @@ def test_lumped_measures_match_unlumped(point):
 
 def test_lumped_quotient_shrinks_by_replica_permutations():
     net = build_replicated_local_net(Architecture.I, 3)
-    exact = analyze(build_replicated_local_net(Architecture.I, 3),
-                    reduction="none")
-    lumped = analyze(net, reduction="lump")
+    exact = analyze(build_replicated_local_net(Architecture.I, 3))
+    with obs.recording() as recorder:
+        lumped = analyze(net, lump=True)
     # 3 interchangeable replicas: the quotient can fold up to 3! states
     # onto one representative and never fewer than 1
     assert exact.state_count / 6 <= lumped.state_count
     assert lumped.state_count < exact.state_count
-    info = lumped.graph.reduction
-    assert len(info.place_orbits[0]) == 3
-    assert len(info.transition_orbits[0]) == 3
-    assert info.folded_states > 0
+    assert len(lumped.graph.place_orbits[0]) == 3
+    assert len(lumped.graph.transition_orbits[0]) == 3
+    assert recorder.counters["gtpn.lumped"] > 0
+
+
+def test_lumped_result_from_disk_store_equals_cold_solve(tmp_path):
+    def make():
+        return build_replicated_local_net(Architecture.I, 3, 5.0)
+
+    with config.overrides(cache=True):
+        cold = analyze(make(), lump=True, cache=Store(tmp_path))
+        disk = Store(tmp_path)          # empty memory tier, same disk
+        with obs.recording() as recorder:
+            warm = analyze(make(), lump=True, cache=disk)
+    assert disk.hits["analysis"] == 1
+    assert [span.attrs.get("outcome") for span in recorder.spans
+            if span.name == "gtpn.analyze"] == ["cache-hit"]
+    assert warm.graph.transition_orbits == cold.graph.transition_orbits
+    for transition in cold.net.transitions:
+        assert warm.firing_rate(transition.name) == \
+            cold.firing_rate(transition.name)
+    for place in cold.net.places:
+        assert warm.mean_tokens(place.name) == \
+            cold.mean_tokens(place.name)
 
 
 def test_replicated_net_matches_pooled_throughput():
@@ -80,7 +103,7 @@ def test_replicated_net_matches_pooled_throughput():
     from repro.models.local import build_local_net
     pooled = analyze(build_local_net(Architecture.I, 2))
     replicated = analyze(build_replicated_local_net(Architecture.I, 2),
-                         reduction="lump")
+                         lump=True)
     assert replicated.throughput() == pytest.approx(
         pooled.throughput(), rel=1e-12)
 
@@ -175,8 +198,8 @@ def test_declare_symmetry_checks_guards():
     net = _guarded_pair_net(mirrored=True)
     net.declare_symmetry([(["A0", "B0"], ["t0", "r0"]),
                           (["A1", "B1"], ["t1", "r1"])])
-    plain = analyze(net, reduction="none", cache=None)
-    lumped = analyze(net, reduction="lump", cache=None)
+    plain = analyze(net, cache=None)
+    lumped = analyze(net, lump=True, cache=None)
     assert lumped.state_count < plain.state_count
     assert lumped.throughput() == pytest.approx(plain.throughput(),
                                                 rel=1e-12)

@@ -1,9 +1,10 @@
 """Tests for the array-native packed GTPN engine (repro.gtpn.packed).
 
-The contract under test: with ``reduction="none"`` the packed engine is
-*bit-identical* to the object walk kept as the oracle
-(``reachability._build_object_graph``) — same state order, same sparse
-row dicts, same expected-start vectors, same stationary vector — on
+The contract under test: unlumped, the packed engine is *bit-identical*
+to the object walk kept as the oracle
+(``reachability._build_object_graph``) — same state table, same CSR
+arrays, same initial, expected-start and in-flight arrays, same
+stationary vector — on
 nets covering multi-tick delays, immediate transitions, multi-token
 places, conflict classes and guards (every non-local client and server
 net of archs I-IV at n = 1..3 on one and two hosts).  Plus the
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.errors import AnalysisError, StateSpaceLimitError
-from repro.gtpn import Guard, Net, activity_pair, analyze, packed
+from repro.gtpn import Guard, Net, activity_pair, packed
 from repro.gtpn.markov import stationary_distribution
 from repro.gtpn.packed import (_Interner, _unique_rows_first_seen,
                                compile_packed, packed_build,
@@ -113,14 +114,13 @@ NETS = [_cycle_net, _immediate_net, _conflict_net,
         _guarded_relay_net, *_nonlocal_nets()]
 
 
-def _assert_bit_identical(og, pg):
-    assert og.states == pg.states
-    assert og.probabilities == pg.probabilities
-    assert og.initial == pg.initial
-    assert all((a == b).all() for a, b in
-               zip(og.expected_starts, pg.expected_starts))
-    assert all(tuple(a) == tuple(b) for a, b in
-               zip(og.inflight_counts, pg.inflight_counts))
+def _assert_bit_identical(a, b):
+    """Exact equality of every array two graphs hold."""
+    for name in ("table", "init_vec", "starts_matrix", "inflight_matrix"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.matrix, name),
+                              getattr(b.matrix, name)), name
 
 
 @pytest.mark.parametrize("make", NETS, ids=lambda f: "net")
@@ -138,21 +138,19 @@ def test_packed_retime_is_bit_identical_to_packed_build(make):
     pg, skeleton = packed_build(net, compile_packed(net),
                                 max_states=200_000)
     rg = packed_retime(skeleton, net, max_states=200_000)
-    assert (rg.matrix != pg.matrix).nnz == 0
-    assert (rg.init_vec == pg.init_vec).all()
-    assert (rg.starts_matrix == pg.starts_matrix).all()
-    assert (rg.inflight_matrix == pg.inflight_matrix).all()
+    _assert_bit_identical(rg, pg)
 
 
 def test_pack_unpack_round_trip():
     net = _cycle_net()
     pnet = compile_packed(net)
     graph, _ = packed_build(net, pnet, max_states=200_000)
-    layout = graph.packed_layout
-    for state, row in zip(graph.states, graph.packed_table):
+    layout = graph.layout
+    states = layout.unpack_all(graph.table)
+    assert len(set(states)) == graph.state_count
+    for state, row in zip(states, graph.table):
         assert layout.unpack(row) == state
         assert (layout.pack(state) == row).all()
-    assert layout.unpack_all(graph.packed_table) == graph.states
 
 
 def test_interner_assigns_first_seen_ids_and_is_stable():
@@ -186,7 +184,7 @@ def test_state_space_limit_error_is_structured():
     assert error.state_count > 100
     assert error.frontier_size > 0
     assert error.max_states == 100
-    assert "reduction='lump'" in str(error)
+    assert "lump=True" in str(error)
     # the object walk raises the same structured error
     with pytest.raises(StateSpaceLimitError):
         _build_object_graph(net, 100)
@@ -201,23 +199,9 @@ def test_guard_memo_keys_on_inflight_counts():
     assert pnet.n_settle == pnet.n_places + 1
     graph, _ = packed_build(net, pnet, max_states=1_000)
     oracle = _build_object_graph(net, 1_000)
-    assert graph.probabilities == oracle.probabilities
-    assert len({s.marking for s in graph.states}) < graph.state_count
-
-
-@pytest.mark.parametrize("arch", list(Architecture), ids=str)
-def test_elim_on_nonlocal_net_matches_none(arch):
-    for net in (build_nonlocal_client_net(arch, 2, 3000.0),
-                build_nonlocal_server_net(arch, 2, 2000.0, 100.0)):
-        plain = analyze(net, reduction="none")
-        elim = analyze(net, reduction="elim")
-        assert elim.graph.reduction.requested == "elim"
-        for resource in net.resources:
-            assert elim.resource_usage(resource) == pytest.approx(
-                plain.resource_usage(resource), rel=1e-12, abs=1e-15)
-        for place in net.places:
-            assert elim.mean_tokens(place.name) == pytest.approx(
-                plain.mean_tokens(place.name), rel=1e-12, abs=1e-15)
+    _assert_bit_identical(graph, oracle)
+    states = graph.layout.unpack_all(graph.table)
+    assert len({s.marking for s in states}) < graph.state_count
 
 
 def test_width_cap_raises_naming_net_and_cap(monkeypatch):

@@ -60,11 +60,13 @@ def _grid_net(f1: float, f2: float, mean: float) -> Net:
 
 def _assert_identical(a, b):
     assert a.throughput() == b.throughput()
-    assert (a.pi == b.pi).all()
-    assert a.state_count == b.state_count
-    assert a.graph.probabilities == b.graph.probabilities
-    assert all(np.array_equal(x, y) for x, y in
-               zip(a.graph.expected_starts, b.graph.expected_starts))
+    assert np.array_equal(a.pi, b.pi)
+    for name in ("table", "init_vec", "starts_matrix", "inflight_matrix"):
+        assert np.array_equal(getattr(a.graph, name),
+                              getattr(b.graph, name)), name
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a.graph.matrix, name),
+                              getattr(b.graph.matrix, name)), name
 
 
 # ----------------------------------------------------------------------

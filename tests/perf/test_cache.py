@@ -97,7 +97,7 @@ def test_fingerprint_covers_guard():
     cache = Store()
     results = [analyze(_guarded_net(g), cache=cache) for g in guards]
     assert cache.hits["analysis"] == 0 and cache.misses["analysis"] == 3
-    skeletons = [cache.get_structure(fp.structure, kind="packed:none")
+    skeletons = [cache.get_structure(fp.structure, lump=False)
                  for fp in fps]
     assert len({id(sk) for sk in skeletons}) == 3
     assert [sk.guards[0] for sk in skeletons] == \
